@@ -50,10 +50,6 @@ def _parse_fraction(text: str) -> float:
     return float(text)
 
 
-def _parse_targets(text: str) -> tuple[float, ...]:
-    return tuple(_parse_fraction(tok) for tok in text.split(",") if tok)
-
-
 def _parse_size(tok: str) -> SystemSize:
     tok = tok.strip().lower()
     if tok in ("inf", "infinite", "infinity"):
@@ -195,7 +191,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
     )
     config = ExperimentConfig(
-        targets=_parse_targets(str(cfg["targets"])),
+        targets=_parse_float_list(str(cfg["targets"])),
         noise=NoiseModel(float(cfg["r"])),
         size=_parse_size(str(cfg["n_qubits"])),
         base=float(cfg["base"]),

@@ -8,10 +8,15 @@ of times, and a single maximum-likelihood estimate combines all rounds.
 the root-mean-square error for every schedule prefix, and attaches the
 matching Cramer-Rao lower-bound curves.
 
-The likelihood is maximized by a dense grid scan followed by golden-section
-refinement.  The grid must outresolve the fastest likelihood oscillation,
-whose scale is set by the largest accumulated query count; the default
-100k-point grid exceeds that by more than 4x for the default schedule.
+The likelihood is maximized by a grid scan followed by the root of its
+analytic derivative inside the bracketing grid interval.  The grid must
+outresolve the fastest likelihood oscillation, whose period ``pi/n_q`` is
+set by the schedule's largest query count: it holds 32 points per such
+period (``16*n_max`` points over (0, pi/2), at least 4096; 18,896 for the
+default 37-round schedule).  The per-round log-probability tables cost
+grid points x distinct query counts, and a schedule whose tables would
+exceed ``TABLE_BUDGET`` is refused with a ``ValueError`` naming the largest
+supported query count, rather than estimated on a grid that aliases.
 
 One subtlety is baked into :func:`mle_estimate`: the modified-operator
 method only ever uses even query counts, whose outcome distributions are
@@ -58,8 +63,13 @@ __all__ = [
 ]
 
 DEFAULT_TARGETS = (2 / 3, 1 / 3, 1 / 6, 1 / 12, 1 / 24, 1 / 48)
-GRID_POINTS = 100_000
-REFINE_TOL = 1e-10
+POINTS_PER_PERIOD = 32  # grid points per period pi/n_q of the largest query count
+MIN_GRID_POINTS = 4096
+TABLE_BUDGET = 1 << 22  # grid points x distinct query counts in the log-probability tables
+ROOT_TOL = 1e-12  # derivative root
+MAX_ROOT_STEPS = 100
+REFINE_TOL = 1e-10  # golden-section fallback
+REFINE_BLOCK = 1 << 20  # bracket x round terms evaluated together by the batched refinement
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,50 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     return Schedule(rounds=tuple((m, shots) for m in ms))
 
 
+def _round_terms(method: Method, ms, noise: NoiseModel, size: SystemSize) -> tuple[np.ndarray, ...]:
+    """Per-round ``(n_q, R, floor)`` of :func:`prob_terms` as three arrays."""
+    terms = [prob_terms(method, m, noise, size) for m in ms]
+    return tuple(np.array(col, dtype=float) for col in zip(*terms))
+
+
+def _counts(outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """Hit and miss counts per round."""
+    hits = np.array([oc.hits for oc in outcomes], dtype=float)
+    misses = np.array([oc.shots - oc.hits for oc in outcomes], dtype=float)
+    return hits, misses
+
+
+def _hit_prob(x, r_pow, floor):
+    """``R*sin^2(x) + floor`` at phase ``x = n_q*theta``, clipped to [0, 1]."""
+    return np.clip(r_pow * np.sin(x) ** 2 + floor, 0.0, 1.0)
+
+
+def _loglik(theta, terms, hits, misses, derivatives: bool = False):
+    """Log-likelihood of the rounds along the last axis, or its first two theta-derivatives.
+
+    ``theta`` broadcasts against ``hits.shape[:-1]``.  Zero counts contribute
+    exactly zero (the 0*log(0) = 0 convention), so rounds beyond a prefix
+    are masked out by zeroing their counts.
+    """
+    n_q, r_pow, floor = terms
+    x = n_q * np.asarray(theta)[..., None]
+    p1 = _hit_prob(x, r_pow, floor)
+    has1, has0 = hits > 0, misses > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not derivatives:
+            t1 = np.where(has1, hits * np.log(p1), 0.0)
+            t0 = np.where(has0, misses * np.log1p(-p1), 0.0)
+            return np.sum(t1 + t0, axis=-1)
+        w1 = np.where(has1, hits / p1, 0.0)
+        w0 = np.where(has0, misses / (1.0 - p1), 0.0)
+        curvature = np.where(has1, w1 / p1, 0.0) + np.where(has0, w0 / (1.0 - p1), 0.0)
+    dp1 = r_pow * n_q * np.sin(2.0 * x)
+    d2p1 = 2.0 * r_pow * n_q**2 * np.cos(2.0 * x)
+    dll = np.sum((w1 - w0) * dp1, axis=-1)
+    d2ll = np.sum((w1 - w0) * d2p1 - curvature * dp1**2, axis=-1)
+    return dll, d2ll
+
+
 def log_likelihood(
     record: MeasurementRecord, theta: float, noise: NoiseModel, size: SystemSize = INFINITE
 ) -> float:
@@ -133,106 +187,129 @@ def log_likelihood(
         raise ValueError("record holds no rounds")
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
-    total = 0.0
-    for oc in record.outcomes:
-        n_q, r_pow, floor = prob_terms(record.method, oc.m, noise, size)
-        p1 = min(max(r_pow * math.sin(n_q * theta) ** 2 + floor, 0.0), 1.0)
-        p0 = 1.0 - p1
-        if oc.hits:
-            total += oc.hits * math.log(p1) if p1 > 0.0 else -math.inf
-        misses = oc.shots - oc.hits
-        if misses:
-            total += misses * math.log(p0) if p0 > 0.0 else -math.inf
-    return total
+    terms = _round_terms(record.method, [oc.m for oc in record.outcomes], noise, size)
+    return float(_loglik(theta, terms, *_counts(record.outcomes)))
 
 
 class _GridLikelihood:
-    """Precomputed per-round log-probability tables over a shared theta grid.
+    """Log-likelihood engine for one (method, schedule, noise, size).
 
-    The tables depend only on (method, m, noise, size), so one instance is
-    reused across every repetition and target prefix of an experiment cell;
-    per-record work is a weighted accumulation plus argmax.
+    The theta grid holds ``POINTS_PER_PERIOD`` points per period
+    ``pi/n_q`` of the schedule's largest query count (at least
+    ``MIN_GRID_POINTS``), and the per-round log-probability tables are built
+    once per distinct query count.  Both depend only on the schedule, so one
+    instance serves every repetition and prefix of an experiment cell; the
+    per-record work is a running in-place accumulation plus argmax, and the
+    refinement of all brackets runs batched.
     """
 
-    def __init__(
-        self,
-        method: Method,
-        schedule: Schedule,
-        noise: NoiseModel,
-        size: SystemSize,
-        grid_points: int = GRID_POINTS,
-    ) -> None:
+    def __init__(self, method: Method, schedule: Schedule, noise: NoiseModel, size: SystemSize) -> None:
+        if not schedule.rounds:
+            raise ValueError("schedule holds no rounds")
         self.method = method
-        self.noise = noise
-        self.size = size
-        edges = np.linspace(0.0, math.pi / 2, grid_points + 2)
+        self.terms = _round_terms(method, [m for m, _ in schedule.rounds], noise, size)
+        n_q = self.terms[0]
+        distinct = len(np.unique(n_q))
+        points = max(MIN_GRID_POINTS, POINTS_PER_PERIOD * int(n_q.max()) // 2)
+        if points * distinct > TABLE_BUDGET:
+            largest = TABLE_BUDGET // distinct * 2 // POINTS_PER_PERIOD
+            raise ValueError(
+                f"schedule reaches {int(n_q.max())} queries per round, beyond what the likelihood "
+                f"grid resolves within its table budget: with {distinct} distinct query counts the "
+                f"largest supported query count is {largest}"
+            )
+        edges = np.linspace(0.0, math.pi / 2, points + 2)
         self.theta = edges[1:-1]
         self._step = edges[1] - edges[0]
-        self.terms = [prob_terms(method, m, noise, size) for m, _ in schedule.rounds]
-        cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._logs = []
-        for n_q, r_pow, floor in self.terms:
-            if n_q not in cache:
-                p1 = r_pow * np.sin(n_q * self.theta) ** 2 + floor
-                np.clip(p1, 0.0, 1.0, out=p1)
+        tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        for n, r_pow, floor in zip(*self.terms):
+            if n not in tables:
+                p1 = _hit_prob(n * self.theta, r_pow, floor)
                 with np.errstate(divide="ignore"):
-                    cache[n_q] = (np.log(p1), np.log1p(-p1))
-            self._logs.append(cache[n_q])
+                    tables[n] = (np.log(p1), np.log1p(-p1))
+        self._logs = [tables[n] for n in n_q]
 
-    def _scalar_ll(self, k: int, hits: np.ndarray, misses: np.ndarray):
-        """Log-likelihood of the first k+1 rounds and its theta-derivative."""
-        n_qs = np.array([t[0] for t in self.terms[: k + 1]], dtype=float)
-        r_pows = np.array([t[1] for t in self.terms[: k + 1]])
-        floors = np.array([t[2] for t in self.terms[: k + 1]])
-        h = hits[: k + 1]
-        ms = misses[: k + 1]
+    def _scan(self, hits: np.ndarray, misses: np.ndarray, prefixes: bool = True) -> list[int]:
+        """Grid argmax index of one record's log-likelihood after each round,
+        or after the last round only.  Ties resolve to the smallest angle.
+        """
+        acc = np.zeros_like(self.theta)
+        tmp = np.empty_like(acc)
+        best = []
+        last = len(hits) - 1
+        for k, ((lp1, lp0), h, m) in enumerate(zip(self._logs, hits, misses)):
+            if h:
+                acc += np.multiply(lp1, h, out=tmp)
+            if m:
+                acc += np.multiply(lp0, m, out=tmp)
+            if prefixes or k == last:
+                best.append(int(np.argmax(acc)))
+        return best
+
+    def _refine(self, centers: np.ndarray, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
+        """Polish grid maxima inside their one-step brackets, batched over brackets.
+
+        ``hits``/``misses`` hold one row of counts per bracket.  The
+        log-likelihood is flat to floating-point noise within ~1e-8 of the
+        maximum, so the stationary point is located as the sign change of
+        the analytic derivative, which stays well conditioned down to
+        machine precision.  Golden section on the log-likelihood is the
+        fallback when a bracket holds no sign change (maximum pinned at a
+        domain edge).
+        """
+        lo = np.maximum(centers - self._step, 1e-12)
+        hi = np.minimum(centers + self._step, math.pi / 2 - 1e-12)
+        d_lo, d_hi = _loglik(np.stack([lo, hi]), self.terms, hits, misses, derivatives=True)[0]
+        sign_change = np.isfinite(d_lo) & np.isfinite(d_hi) & (d_lo > 0.0) & (d_hi < 0.0)
+        est = np.empty_like(centers)
+        idx = np.flatnonzero(sign_change)
+        est[idx] = self._newton(centers[idx], lo[idx], hi[idx], hits[idx], misses[idx])
+        for i in np.flatnonzero(~sign_change):
+            est[i] = self._golden(lo[i], hi[i], hits[i], misses[i])
+        return est
+
+    def _newton(self, x, lo, hi, hits, misses) -> np.ndarray:
+        """Roots of the derivative inside brackets where it falls from + to -.
+
+        Safeguarded Newton on all brackets at once: a step that would leave
+        its bracket, or is longer than both ``ROOT_TOL`` and half the step
+        before last, is replaced by bisection.  A bracket is done once its
+        step falls to ``ROOT_TOL``.
+        """
+        out = np.empty_like(x)
+        idx = np.arange(len(x))
+        step = prev = hi - lo
+        for _ in range(MAX_ROOT_STEPS):
+            f, fp = _loglik(x, self.terms, hits, misses, derivatives=True)
+            lo = np.where(f > 0.0, x, lo)
+            hi = np.where(f < 0.0, x, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = x - f / fp
+                fast = np.abs(newton - x) <= np.maximum(ROOT_TOL, 0.5 * np.abs(prev))
+            nxt = np.where((newton >= lo) & (newton <= hi) & fast, newton, 0.5 * (lo + hi))
+            prev, step = step, nxt - x
+            root = f == 0.0
+            done = root | (np.abs(step) <= ROOT_TOL)
+            out[idx[done]] = np.where(root, x, nxt)[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, x, lo, hi, step, prev = idx[keep], nxt[keep], lo[keep], hi[keep], step[keep], prev[keep]
+            hits, misses = hits[keep], misses[keep]
+        out[idx] = 0.5 * (lo + hi)
+        return out
+
+    def _golden(self, a: float, b: float, hits: np.ndarray, misses: np.ndarray) -> float:
+        """Golden-section maximum of the log-likelihood on [a, b] to ``REFINE_TOL``."""
 
         def ll(theta: float) -> float:
-            p1 = np.clip(r_pows * np.sin(n_qs * theta) ** 2 + floors, 0.0, 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = np.where(h > 0, h * np.log(p1), 0.0)
-                t0 = np.where(ms > 0, ms * np.log1p(-p1), 0.0)
-            return float(np.sum(t1 + t0))
+            return float(_loglik(theta, self.terms, hits, misses))
 
-        def dll(theta: float) -> float:
-            p1 = np.clip(r_pows * np.sin(n_qs * theta) ** 2 + floors, 0.0, 1.0)
-            dp1 = r_pows * n_qs * np.sin(2.0 * n_qs * theta)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = np.where(h > 0, h * dp1 / p1, 0.0)
-                t0 = np.where(ms > 0, ms * dp1 / (1.0 - p1), 0.0)
-            return float(np.sum(t1 - t0))
-
-        return ll, dll
-
-    def _refine(self, ll, dll, center: float, tol: float = REFINE_TOL) -> float:
-        """Polish a grid maximum inside its one-step bracket.
-
-        The log-likelihood itself is flat to floating-point noise within
-        ~1e-8 of the maximum, so after bracketing, the stationary point is
-        located by bisecting the sign change of the analytic derivative,
-        which stays well conditioned down to machine precision.  Golden
-        section is the fallback when the bracket holds no sign change
-        (maximum pinned at a domain edge).
-        """
-        a = max(center - self._step, 1e-12)
-        b = min(center + self._step, math.pi / 2 - 1e-12)
-        da, db = dll(a), dll(b)
-        if math.isfinite(da) and math.isfinite(db) and da > 0.0 > db:
-            while b - a > 1e-12:
-                mid = 0.5 * (a + b)
-                dm = dll(mid)
-                if dm > 0.0:
-                    a = mid
-                elif dm < 0.0:
-                    b = mid
-                else:
-                    return mid
-            return 0.5 * (a + b)
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
         fc, fd = ll(c), ll(d)
-        while b - a > tol:
+        while b - a > REFINE_TOL:
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
@@ -243,49 +320,56 @@ class _GridLikelihood:
                 fd = ll(d)
         return 0.5 * (a + b)
 
-    def prefix_estimates(self, outcomes) -> np.ndarray:
-        """Maximum-likelihood angle for every prefix of the outcome list.
+    def _fold(self, est: np.ndarray) -> np.ndarray:
+        """Method Q's likelihood is exactly mirror-symmetric about pi/4; report (0, pi/4]."""
+        return np.minimum(est, math.pi / 2 - est) if self.method is Method.Q else est
 
-        Grid ties resolve to the smallest angle (first argmax); method Q
-        estimates are folded onto (0, pi/4] because its likelihood is
-        exactly mirror-symmetric about pi/4.
+    def fit_prefixes(self, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
+        """Maximum-likelihood angle of every prefix of every record.
+
+        ``hits``/``misses`` are ``(records, rounds)`` counts over the whole
+        schedule; the result has the same shape.  Records are scanned one at
+        a time; the (record, prefix) brackets are refined together, in
+        blocks of at most ``REFINE_BLOCK`` bracket x round terms.
         """
-        hits = np.array([oc.hits for oc in outcomes], dtype=float)
-        misses = np.array([oc.shots - oc.hits for oc in outcomes], dtype=float)
-        acc = np.zeros_like(self.theta)
-        out = np.empty(len(outcomes))
-        for k in range(len(outcomes)):
-            lp1, lp0 = self._logs[k]
-            if hits[k]:
-                acc = acc + hits[k] * lp1
-            if misses[k]:
-                acc = acc + misses[k] * lp0
-            center = self.theta[int(np.argmax(acc))]
-            ll, dll = self._scalar_ll(k, hits, misses)
-            est = self._refine(ll, dll, center)
-            if self.method is Method.Q:
-                est = min(est, math.pi / 2 - est)
-            out[k] = est
-        return out
+        records, rounds = hits.shape
+        if rounds != len(self._logs):
+            raise ValueError(f"counts cover {rounds} rounds, the schedule {len(self._logs)}")
+        centers = self.theta[[self._scan(h, m) for h, m in zip(hits, misses)]].ravel()
+        est = np.empty_like(centers)
+        block = max(1, REFINE_BLOCK // rounds)
+        for s in range(0, len(centers), block):
+            b = np.arange(s, min(s + block, len(centers)))
+            rec = b // rounds
+            upto = np.arange(rounds) <= (b % rounds)[:, None]  # prefix k sees rounds j <= k
+            est[b] = self._refine(centers[b], hits[rec] * upto, misses[rec] * upto)
+        return self._fold(est.reshape(records, rounds))
+
+    def prefix_estimates(self, outcomes) -> np.ndarray:
+        """Maximum-likelihood angle for every prefix of one outcome list."""
+        hits, misses = _counts(outcomes)
+        return self.fit_prefixes(hits[None], misses[None])[0]
+
+    def estimate(self, hits: np.ndarray, misses: np.ndarray) -> float:
+        """Maximum-likelihood angle of one record, from its full set of rounds only."""
+        center = self.theta[self._scan(hits, misses, prefixes=False)]
+        return float(self._fold(self._refine(center, hits[None], misses[None]))[0])
 
 
-def mle_estimate(
-    record: MeasurementRecord,
-    noise: NoiseModel,
-    size: SystemSize = INFINITE,
-    grid_points: int = GRID_POINTS,
-) -> float:
+def mle_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize = INFINITE) -> float:
     """Maximum-likelihood angle for a full record.
 
-    Dense grid scan over (0, pi/2) with first-occurrence (smallest theta)
-    tie-breaking, then golden-section refinement of the bracketing interval
-    down to 1e-10.  See the module docstring for the method-Q mirror fold.
+    Grid scan over (0, pi/2) with first-occurrence (smallest theta)
+    tie-breaking, then the root of the analytic derivative inside the
+    bracketing grid interval, to 1e-12 (golden section on the likelihood
+    when the maximum is pinned at a domain edge).  See the module docstring
+    for the grid rule and the method-Q mirror fold.
     """
     if not record.outcomes:
         raise ValueError("record holds no rounds")
     schedule = Schedule(rounds=tuple((oc.m, oc.shots) for oc in record.outcomes))
-    grid = _GridLikelihood(record.method, schedule, noise, size, grid_points)
-    return float(grid.prefix_estimates(record.outcomes)[-1])
+    grid = _GridLikelihood(record.method, schedule, noise, size)
+    return grid.estimate(*_counts(record.outcomes))
 
 
 def sample_record(
@@ -402,9 +486,10 @@ def run_experiment(config: ExperimentConfig) -> RmseTable:
     for method in config.methods:
         schedule = build_eis_schedule(config.base, config.rounds, config.shots, method)
         grid = _GridLikelihood(method, schedule, config.noise, config.size)
+        shots = np.array([s for _, s in schedule.rounds], dtype=float)
         for ti, a in enumerate(config.targets):
             theta = math.asin(math.sqrt(a))
-            estimates = np.empty((len(schedule), config.repetitions))
+            hits = np.empty((config.repetitions, len(schedule)))
             for rep in range(config.repetitions):
                 record = sample_record(
                     method,
@@ -417,8 +502,9 @@ def run_experiment(config: ExperimentConfig) -> RmseTable:
                     ti,
                     rep,
                 )
-                estimates[:, rep] = grid.prefix_estimates(record.outcomes)
-            rmse = np.sqrt(np.mean((estimates - theta) ** 2, axis=1))
+                hits[rep] = [oc.hits for oc in record.outcomes]
+            estimates = grid.fit_prefixes(hits, shots - hits)
+            rmse = np.sqrt(np.mean((estimates - theta) ** 2, axis=0))
             bounds = crb_curves(config, a, method)
             for k in range(len(schedule)):
                 rows.append(

@@ -199,15 +199,6 @@ def query_count(method: Method, m: int) -> int:
     return 2 * m + 1 if method is Method.G else 2 * m
 
 
-def survival(r: float, n_q: float) -> float:
-    """Coherent weight ``r**n_q`` surviving ``n_q`` noisy queries.
-
-    Evaluated as ``exp(n_q * log(r))`` so large ``n_q`` accumulates no
-    pow-loop rounding and underflows cleanly to 0.
-    """
-    return math.exp(n_q * math.log(r))
-
-
 def prob_terms(
     method: Method, m: int, noise: NoiseModel, size: SystemSize = INFINITE
 ) -> tuple[int, float, float]:

@@ -151,6 +151,15 @@ class TestSimulate:
         assert all(row["method"] == "q" for row in payload["rows"])
 
 
+    def test_unresolvable_schedule_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "rmse.csv"
+        assert run_cli("simulate", "--r", "1", "--n-qubits", "inf", "--rounds", "72",
+                       "--reps", "1", "--targets", "1/3", "--methods", "g",
+                       "--out", str(out)) == 1
+        assert "largest supported query count" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOracleVerify:
     ARGS = ("oracle-verify", "--n-qubits", "1,2", "--m-values", "0,1,2",
             "--r-values", "1,0.9", "--seeds", "2")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aelab import (
     INFINITE,
@@ -21,6 +23,8 @@ from aelab import (
     sample_round,
 )
 from aelab.estimator import _GridLikelihood
+
+sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
 
 
 class TestSchedule:
@@ -133,6 +137,47 @@ class TestMle:
                 if abs(est - theta) > band:
                     misses += 1
         assert misses <= 0.01 * 2 * trials
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        r=st.floats(min_value=0.5, max_value=1.0),
+        size=sizes,
+        rounds=st.integers(min_value=1, max_value=12),
+        theta=st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_estimate_is_a_folded_local_maximum(self, method, r, size, rounds, theta, seed):
+        noise = NoiseModel(r)
+        # method Q drops the zero-amplification round; keep `rounds` rounds either way
+        sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), 100, method)
+        rec = sample_record(method, theta, sched, noise, size, seed)
+        est = mle_estimate(rec, noise, size)
+        assert 0.0 < est < math.pi / 2
+        if method is Method.Q:
+            assert est <= math.pi / 4
+        here = log_likelihood(rec, est, noise, size)
+        for side in (est - 1e-6, est + 1e-6):
+            if 0.0 < side < math.pi / 2:
+                assert log_likelihood(rec, side, noise, size) <= here + 1e-12 * abs(here)
+        prefix = _GridLikelihood(method, sched, noise, size).prefix_estimates(rec.outcomes)
+        assert est == pytest.approx(prefix[-1], abs=1e-11)
+
+    def test_grid_follows_the_largest_query_count(self):
+        # 32 points per period pi/n_q of the deepest round: 16 * (2*590 + 1)
+        sched = build_eis_schedule(6 / 5, 37, 100, Method.G)
+        grid = _GridLikelihood(Method.G, sched, NoiseModel(0.99), SystemSize(100))
+        assert len(grid.theta) == 18_896
+        short = build_eis_schedule(6 / 5, 5, 100, Method.G)
+        assert len(_GridLikelihood(Method.G, short, NoiseModel(0.99), INFINITE).theta) == 4096
+
+    def test_refuses_schedule_the_grid_cannot_resolve(self):
+        # 72 rounds reach n_q = 697,777: silently aliased on any affordable grid
+        sched = build_eis_schedule(6 / 5, 72, 100, Method.G)
+        rec = MeasurementRecord(Method.G, tuple(RoundOutcome(m, s, s // 2) for m, s in sched.rounds))
+        with pytest.raises(ValueError, match="largest supported query count is"):
+            mle_estimate(rec, NoiseModel(1.0))
 
 
 class TestCrbCurves:
