@@ -4,9 +4,11 @@ Everything here is explicit linear algebra on ``2**(n+1)``-dimensional
 complex matrices: a concrete preparation unitary is built, the two
 amplification operators are applied gate by gate with the depolarizing
 channel inserted after every preparation query, and probabilities and
-Fisher information are extracted directly from the evolved matrix.  None
-of the closed forms in :mod:`aelab.model` / :mod:`aelab.fisher` are used
-on this path, so agreement between the two is a genuine cross-check.
+Fisher information are extracted directly from the evolved matrix and its
+theta-derivative, which is propagated analytically alongside it (finite
+differences remain as an independent test route).  None of the closed
+forms in :mod:`aelab.model` / :mod:`aelab.fisher` are used on this path,
+so agreement between the two is a genuine cross-check.
 
 Conventions (fixed, everything below depends on them):
 
@@ -42,6 +44,7 @@ __all__ = [
     "validate_density_matrix",
     "rotation_check",
     "numeric_qfi",
+    "propagated_classical_fisher",
     "numeric_classical_fisher",
     "theorem_bound",
     "EquivalenceCase",
@@ -110,14 +113,56 @@ class ReflectionOps:
     uf: np.ndarray
 
 
-def reflections(n: int) -> ReflectionOps:
+def _reflection_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of (u0, uf): both reflections are diagonal with entries +-1."""
     dim = 2 ** (n + 1)
-    u0 = -np.eye(dim, dtype=complex)
-    u0[0, 0] = 1.0
-    d = -np.ones(dim)
-    d[0::2] = 1.0  # flag qubit is the LSB
-    uf = np.diag(d).astype(complex)
-    return ReflectionOps(u0=u0, uf=uf)
+    s0 = -np.ones(dim)
+    s0[0] = 1.0
+    sf = -np.ones(dim)
+    sf[0::2] = 1.0  # flag qubit is the LSB
+    return s0, sf
+
+
+def reflections(n: int) -> ReflectionOps:
+    s0, sf = _reflection_signs(n)
+    return ReflectionOps(u0=np.diag(s0).astype(complex), uf=np.diag(sf).astype(complex))
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """Theta-dependent operators of one factory and the reflection sign masks.
+
+    ``a_h``/``da_h`` are the adjoints, kept as the ``conj().T`` views the
+    gate-by-gate product rule uses, so every matmul sees the same operands.
+    ``s0``/``sf`` are the diagonals of ``u0``/``uf``.  Conjugating by such a
+    +-1 diagonal is ``X * outer(s, s)``, exact in floating point, so the
+    masks give the same matrices as ``u @ X @ u.conj().T``.
+    """
+
+    a: np.ndarray
+    a_h: np.ndarray
+    da: np.ndarray
+    da_h: np.ndarray
+    s0: np.ndarray
+    sf: np.ndarray
+    zero_mask: np.ndarray
+    flag_mask: np.ndarray
+
+
+# the equivalence suite works through one factory at a time; two entries
+# cap the cache at 40 MB even at the largest register (8 work qubits)
+@lru_cache(maxsize=2)
+def _prepared(factory: UnitaryFactory) -> _Prepared:
+    a = factory.state_prep()
+    da = factory.state_prep_deriv()
+    s0, sf = _reflection_signs(factory.n)
+    prep = _Prepared(
+        a=a, a_h=a.conj().T, da=da, da_h=da.conj().T, s0=s0, sf=sf,
+        zero_mask=np.outer(s0, s0), flag_mask=np.outer(sf, sf),
+    )
+    for arr in vars(prep).values():
+        arr.setflags(write=False)
+    return prep
 
 
 def depolarize(mat: np.ndarray, r: float) -> np.ndarray:
@@ -132,65 +177,49 @@ def depolarize(mat: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def _step_sequence(method: Method, m: int, factory: UnitaryFactory):
-    """Yield the gate/channel sequence as (kind, operator) pairs.
-
-    ``kind`` is "prep" for the theta-dependent unitary (A or its adjoint),
-    "unitary" for the reflections, and "noise" for the channel.  The channel
-    follows every "prep", so m steps accumulate 2m+1 (G) / 2m (Q) of them.
-    """
-    if m < 0:
-        raise ValueError(f"amplification count must be >= 0, got {m}")
-    if m > MAX_AMPLIFICATIONS:
-        raise ValueError(f"amplification count capped at {MAX_AMPLIFICATIONS}, got {m}")
-    a = factory.state_prep()
-    da = factory.state_prep_deriv()
-    ops = reflections(factory.n)
-    if method is Method.G:
-        yield "prep", a, da
-        yield "noise", None, None
-        for _ in range(m):
-            yield "unitary", ops.uf, None
-            yield "prep", a.conj().T, da.conj().T
-            yield "noise", None, None
-            yield "unitary", ops.u0, None
-            yield "prep", a, da
-            yield "noise", None, None
-    else:
-        for _ in range(m):
-            yield "prep", a, da
-            yield "noise", None, None
-            yield "unitary", ops.uf, None
-            yield "prep", a.conj().T, da.conj().T
-            yield "noise", None, None
-            yield "unitary", ops.u0, None
-
-
 def evolve_with_derivative(
     method: Method, m: int, factory: UnitaryFactory, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve ``|0><0|`` through the noisy circuit; return (rho, drho/dtheta).
 
+    G applies ``A`` and then ``m`` times ``uf, A^dagger, u0, A``; Q applies
+    ``m`` times ``A, uf, A^dagger, u0``.  The channel follows every query of
+    ``A`` or its adjoint, so m steps accumulate 2m+1 (G) / 2m (Q) of them.
     The derivative is propagated analytically by the product rule: unitaries
     conjugate it, the preparation steps add the ``dA`` cross terms, and the
     (theta-independent, linear) channel just passes through.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"survival probability r must lie in (0, 1], got {r}")
+    if m < 0:
+        raise ValueError(f"amplification count must be >= 0, got {m}")
+    if m > MAX_AMPLIFICATIONS:
+        raise ValueError(f"amplification count capped at {MAX_AMPLIFICATIONS}, got {m}")
+    prep = _prepared(factory)
     dim = factory.dim
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     drho = np.zeros((dim, dim), dtype=complex)
-    for kind, op, dop in _step_sequence(method, m, factory):
-        if kind == "noise":
-            rho = depolarize(rho, r)
-            drho = depolarize(drho, r)
-        elif kind == "unitary":
-            rho = op @ rho @ op.conj().T
-            drho = op @ drho @ op.conj().T
-        else:  # theta-dependent preparation step
-            drho = op @ drho @ op.conj().T + dop @ rho @ op.conj().T + op @ rho @ dop.conj().T
-            rho = op @ rho @ op.conj().T
+
+    def query(op, op_h, dop, dop_h):
+        nonlocal rho, drho
+        drho = op @ drho @ op_h + dop @ rho @ op_h + op @ rho @ dop_h
+        rho = op @ rho @ op_h
+        rho = depolarize(rho, r)
+        drho = depolarize(drho, r)
+
+    if method is Method.G:
+        query(prep.a, prep.a_h, prep.da, prep.da_h)
+    for _ in range(m):
+        if method is Method.Q:
+            query(prep.a, prep.a_h, prep.da, prep.da_h)
+        rho = rho * prep.flag_mask
+        drho = drho * prep.flag_mask
+        query(prep.a_h, prep.a, prep.da_h, prep.da)
+        rho = rho * prep.zero_mask
+        drho = drho * prep.zero_mask
+        if method is Method.G:
+            query(prep.a, prep.a_h, prep.da, prep.da_h)
     return rho, drho
 
 
@@ -239,9 +268,9 @@ def rotation_check(factory: UnitaryFactory, m: int) -> float:
     s2t = math.sin(2.0 * factory.theta)
     if s2t == 0.0:
         raise ValueError("rotation picture undefined where sin(2*theta) = 0")
-    a = factory.state_prep()
-    ops = reflections(factory.n)
-    q = ops.u0 @ a.conj().T @ ops.uf @ a
+    prep = _prepared(factory)
+    # u0 @ A^dagger @ uf @ A with the diagonal reflections as row/column signs
+    q = (prep.s0[:, None] * prep.a_h * prep.sf) @ prep.a
     e0 = np.zeros(factory.dim, dtype=complex)
     e0[0] = 1.0
     phi = (q @ e0 - math.cos(2.0 * factory.theta) * e0) / s2t
@@ -276,26 +305,46 @@ def numeric_qfi(
     return _spectral_qfi(rho, drho, cutoff)
 
 
+def _check_nondegenerate(p: np.ndarray) -> None:
+    # pinned probabilities (reachable only at r = 1) make the quotient
+    # meaningless; the simulator lands within rounding of the pin, so the
+    # guard is a tolerance, not an exact comparison
+    if min(p) <= 1e-12 or max(p) >= 1.0 - 1e-12:
+        raise ValueError(f"degenerate outcome probabilities {tuple(p)}; Fisher information undefined here")
+
+
+def propagated_classical_fisher(rho: np.ndarray, drho: np.ndarray, method: Method) -> float:
+    """Classical Fisher information of the method's measurement from ``(rho, drho)``.
+
+    The outcome probabilities are linear in the state, so their
+    theta-derivatives are ``measure_probs(drho)``; the information is
+    ``sum(dp**2 / p)``.  Degenerate probabilities (0 or 1) are rejected.
+    """
+    p = np.array(measure_probs(rho, method))
+    _check_nondegenerate(p)
+    dp = np.array(measure_probs(drho, method))
+    return float(np.sum(dp**2 / p))
+
+
 def numeric_classical_fisher(
     method: Method, m: int, factory: UnitaryFactory, r: float, step: float = 1e-5
 ) -> float:
     """Classical Fisher information by Richardson-extrapolated central differences.
 
-    A second, fully independent route: probabilities come from the evolved
-    matrices at shifted angles, derivatives from finite differences.  The
-    angle must sit away from the outcome-probability extremes; degenerate
-    probabilities (0 or 1) are rejected.
+    The independent test route for derivative propagation: probabilities
+    come from the evolved matrices at shifted angles and derivatives from
+    finite differences, so ``drho`` is never used.  It costs five
+    evolutions where :func:`propagated_classical_fisher` needs one, and the
+    equivalence suite uses the latter.  The angle must sit away from the
+    outcome-probability extremes; degenerate probabilities (0 or 1) are
+    rejected.
     """
     def probs(theta: float) -> np.ndarray:
         rho = evolve(method, m, replace(factory, theta=theta), r)
         return np.array(measure_probs(rho, method))
 
     p = probs(factory.theta)
-    # pinned probabilities (reachable only at r = 1) make the quotient
-    # meaningless; the simulator lands within rounding of the pin, so the
-    # guard is a tolerance, not an exact comparison
-    if min(p) <= 1e-12 or max(p) >= 1.0 - 1e-12:
-        raise ValueError(f"degenerate outcome probabilities {tuple(p)}; Fisher information undefined here")
+    _check_nondegenerate(p)
     d_coarse = (probs(factory.theta + step) - probs(factory.theta - step)) / (2.0 * step)
     d_fine = (probs(factory.theta + step / 2) - probs(factory.theta - step / 2)) / step
     dp = (4.0 * d_fine - d_coarse) / 3.0
@@ -404,9 +453,11 @@ def run_equivalence_suite(
 
     For each cell a random angle and work unitary are drawn; the simulated
     outcome probability, spectral quantum Fisher information, rotation
-    picture (noiseless cells only) and finite-difference classical Fisher
-    information are checked against their closed-form counterparts, and the
-    quantum Fisher information against the general circuit bound.
+    picture (noiseless cells only) and classical Fisher information are
+    checked against their closed-form counterparts, and the quantum Fisher
+    information against the general circuit bound.  Each case is evolved
+    once: both Fisher informations come from the propagated derivative
+    ``drho`` of that evolution.
 
     ``perturb_r`` shrinks the survival probability used *inside the
     simulator only* by the given relative amount; any nonzero value must
@@ -458,10 +509,10 @@ def run_equivalence_suite(
                         cfi = None
                         if include_cfi and n_q > 0:
                             r_pow = r**n_q
-                            # finite differences lose relative accuracy where
+                            # the relative deviation is ill-conditioned where
                             # the probability derivative nearly vanishes
                             if r_pow * abs(math.sin(2.0 * n_q * theta)) > 1e-3:
-                                cfi_num = numeric_classical_fisher(method, m, factory, r_sim)
+                                cfi_num = propagated_classical_fisher(rho, drho, method)
                                 cfi_ref = classical_fisher(method, theta, n_q, noise, size)
                                 cfi = abs(cfi_num - cfi_ref) / cfi_ref
                         cases.append(

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher
 from aelab.refsim import (
     UnitaryFactory,
     depolarize,
     evolve,
+    evolve_with_derivative,
     measure_probs,
     numeric_classical_fisher,
     numeric_qfi,
+    propagated_classical_fisher,
     reflections,
     rotation_check,
     run_equivalence_suite,
@@ -92,6 +96,39 @@ class TestEvolve:
             for m in (0, 1, 3):
                 for r in (1.0, 0.6):
                     validate_density_matrix(evolve(method, m, factory, r))
+
+    @pytest.mark.parametrize(
+        "method, n, m, r",
+        [(Method.G, 1, 0, 1.0), (Method.G, 2, 3, 0.9), (Method.Q, 1, 2, 0.5), (Method.Q, 3, 4, 0.8)],
+    )
+    def test_matches_dense_product_rule(self, method, n, m, r):
+        # the cached operators and sign-mask reflections reproduce, bit for
+        # bit, the gate-by-gate product rule with dense reflection matrices
+        f = UnitaryFactory(n=n, theta=0.41, w_seed=17)
+        a, da = f.state_prep(), f.state_prep_deriv()
+        ops = reflections(n)
+        prep = [("prep", a, da), ("noise", None, None)]
+        step = [
+            ("unitary", ops.uf, None),
+            ("prep", a.conj().T, da.conj().T),
+            ("noise", None, None),
+            ("unitary", ops.u0, None),
+        ]
+        seq = prep + (step + prep) * m if method is Method.G else (prep + step) * m
+        rho = np.zeros((f.dim, f.dim), dtype=complex)
+        rho[0, 0] = 1.0
+        drho = np.zeros_like(rho)
+        for kind, op, dop in seq:
+            if kind == "noise":
+                rho, drho = depolarize(rho, r), depolarize(drho, r)
+            elif kind == "unitary":
+                rho, drho = op @ rho @ op.conj().T, op @ drho @ op.conj().T
+            else:
+                drho = op @ drho @ op.conj().T + dop @ rho @ op.conj().T + op @ rho @ dop.conj().T
+                rho = op @ rho @ op.conj().T
+        got_rho, got_drho = evolve_with_derivative(method, m, f, r)
+        np.testing.assert_array_equal(got_rho, rho)
+        np.testing.assert_array_equal(got_drho, drho)
 
     def test_guards(self, factory):
         with pytest.raises(ValueError):
@@ -187,6 +224,39 @@ class TestNumericClassicalFisher:
         f = UnitaryFactory(n=1, theta=math.pi / 8, w_seed=9)
         val = numeric_classical_fisher(Method.Q, 1, f, 0.5)
         assert val == pytest.approx(64 / 55, rel=1e-6)
+
+
+class TestPropagatedClassicalFisher:
+    def test_noisy_q_value(self):
+        f = UnitaryFactory(n=2, theta=math.pi / 8, w_seed=5)
+        rho, drho = evolve_with_derivative(Method.Q, 1, f, 0.9)
+        ref = classical_fisher(Method.Q, math.pi / 8, 2, NoiseModel(0.9), SystemSize(3))
+        assert propagated_classical_fisher(rho, drho, Method.Q) == pytest.approx(ref, rel=1e-10)
+
+    def test_degenerate_angle_rejected(self):
+        f = UnitaryFactory(n=2, theta=math.pi / 6, w_seed=1)
+        rho, drho = evolve_with_derivative(Method.G, 1, f, 1.0)
+        with pytest.raises(ValueError):
+            propagated_classical_fisher(rho, drho, Method.G)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        n=st.integers(min_value=1, max_value=3),
+        m=st.integers(min_value=1, max_value=4),
+        r=st.floats(min_value=0.5, max_value=1.0),
+        theta=st.floats(min_value=0.02, max_value=math.pi / 2 - 0.02),
+        w_seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_agrees_with_finite_differences(self, method, n, m, r, theta, w_seed):
+        # finite differences never touch drho, so agreement checks the
+        # propagation itself; the filter is the equivalence suite's own
+        n_q = 2 * m + 1 if method is Method.G else 2 * m
+        assume(r**n_q * abs(math.sin(2.0 * n_q * theta)) > 1e-3)
+        f = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
+        rho, drho = evolve_with_derivative(method, m, f, r)
+        propagated = propagated_classical_fisher(rho, drho, method)
+        assert numeric_classical_fisher(method, m, f, r) == pytest.approx(propagated, rel=1e-6)
 
 
 class TestTheoremBound:
