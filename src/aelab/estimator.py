@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import classical_fisher, quantum_fisher
+from .fisher import classical_fisher, golden_max, quantum_fisher
 from .model import (
     INFINITE,
     Method,
@@ -42,10 +42,14 @@ from .model import (
     RoundOutcome,
     Schedule,
     SystemSize,
+    _check_theta,
     derive_seed,
+    draw_round,
+    hit_probability,
+    prob_good,
     prob_terms,
     query_count,
-    sample_round,
+    sample_round,  # noqa: F401  perfbench/layers.py traces aelab.estimator.sample_round
 )
 
 __all__ = [
@@ -129,22 +133,11 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     return Schedule(rounds=tuple((m, shots) for m in ms))
 
 
-def _round_terms(method: Method, ms, noise: NoiseModel, size: SystemSize) -> tuple[np.ndarray, ...]:
-    """Per-round ``(n_q, R, floor)`` of :func:`prob_terms` as three arrays."""
-    terms = [prob_terms(method, m, noise, size) for m in ms]
-    return tuple(np.array(col, dtype=float) for col in zip(*terms))
-
-
 def _counts(outcomes) -> tuple[np.ndarray, np.ndarray]:
     """Hit and miss counts per round."""
     hits = np.array([oc.hits for oc in outcomes], dtype=float)
     misses = np.array([oc.shots - oc.hits for oc in outcomes], dtype=float)
     return hits, misses
-
-
-def _hit_prob(x, r_pow, floor):
-    """``R*sin^2(x) + floor`` at phase ``x = n_q*theta``, clipped to [0, 1]."""
-    return np.clip(r_pow * np.sin(x) ** 2 + floor, 0.0, 1.0)
 
 
 def _loglik(theta, terms, hits, misses, derivatives: bool = False):
@@ -156,7 +149,7 @@ def _loglik(theta, terms, hits, misses, derivatives: bool = False):
     """
     n_q, r_pow, floor = terms
     x = n_q * np.asarray(theta)[..., None]
-    p1 = _hit_prob(x, r_pow, floor)
+    p1 = hit_probability(x, r_pow, floor)
     has1, has0 = hits > 0, misses > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         if not derivatives:
@@ -185,9 +178,8 @@ def log_likelihood(
     """
     if not record.outcomes:
         raise ValueError("record holds no rounds")
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
-    terms = _round_terms(record.method, [oc.m for oc in record.outcomes], noise, size)
+    _check_theta(theta)
+    terms = prob_terms(record.method, [oc.m for oc in record.outcomes], noise, size)
     return float(_loglik(theta, terms, *_counts(record.outcomes)))
 
 
@@ -207,7 +199,7 @@ class _GridLikelihood:
         if not schedule.rounds:
             raise ValueError("schedule holds no rounds")
         self.method = method
-        self.terms = _round_terms(method, [m for m, _ in schedule.rounds], noise, size)
+        self.terms = prob_terms(method, [m for m, _ in schedule.rounds], noise, size)
         n_q = self.terms[0]
         distinct = len(np.unique(n_q))
         points = max(MIN_GRID_POINTS, POINTS_PER_PERIOD * int(n_q.max()) // 2)
@@ -221,10 +213,10 @@ class _GridLikelihood:
         edges = np.linspace(0.0, math.pi / 2, points + 2)
         self.theta = edges[1:-1]
         self._step = edges[1] - edges[0]
-        tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for n, r_pow, floor in zip(*self.terms):
             if n not in tables:
-                p1 = _hit_prob(n * self.theta, r_pow, floor)
+                p1 = hit_probability(n * self.theta, r_pow, floor)
                 with np.errstate(divide="ignore"):
                     tables[n] = (np.log(p1), np.log1p(-p1))
         self._logs = [tables[n] for n in n_q]
@@ -265,7 +257,9 @@ class _GridLikelihood:
         idx = np.flatnonzero(sign_change)
         est[idx] = self._newton(centers[idx], lo[idx], hi[idx], hits[idx], misses[idx])
         for i in np.flatnonzero(~sign_change):
-            est[i] = self._golden(lo[i], hi[i], hits[i], misses[i])
+            est[i] = golden_max(
+                lambda t: float(_loglik(t, self.terms, hits[i], misses[i])), lo[i], hi[i], REFINE_TOL
+            )[0]
         return est
 
     def _newton(self, x, lo, hi, hits, misses) -> np.ndarray:
@@ -298,27 +292,6 @@ class _GridLikelihood:
             hits, misses = hits[keep], misses[keep]
         out[idx] = 0.5 * (lo + hi)
         return out
-
-    def _golden(self, a: float, b: float, hits: np.ndarray, misses: np.ndarray) -> float:
-        """Golden-section maximum of the log-likelihood on [a, b] to ``REFINE_TOL``."""
-
-        def ll(theta: float) -> float:
-            return float(_loglik(theta, self.terms, hits, misses))
-
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = ll(c), ll(d)
-        while b - a > REFINE_TOL:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = ll(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = ll(d)
-        return 0.5 * (a + b)
 
     def _fold(self, est: np.ndarray) -> np.ndarray:
         """Method Q's likelihood is exactly mirror-symmetric about pi/4; report (0, pi/4]."""
@@ -381,10 +354,16 @@ def sample_record(
     master_seed: int,
     *path: int,
 ) -> MeasurementRecord:
-    """Draw outcomes for every round; round j uses seed (master, *path, j)."""
+    """Draw outcomes for every round; round j uses seed (master, *path, j).
+
+    Round j equals ``sample_round`` with that seed; one :func:`prob_good`
+    call gives the hit probabilities of all rounds.
+    """
+    ms = [m for m, _ in schedule.rounds]
+    p1 = prob_good(method, theta, ms, noise, size).tolist()
     outcomes = tuple(
-        sample_round(method, theta, m, shots, noise, size, derive_seed(master_seed, *path, j))
-        for j, (m, shots) in enumerate(schedule.rounds)
+        draw_round(m, shots, p, derive_seed(master_seed, *path, j))
+        for j, ((m, shots), p) in enumerate(zip(schedule.rounds, p1))
     )
     return MeasurementRecord(method=method, outcomes=outcomes)
 
@@ -412,12 +391,10 @@ def crb_curves(config: ExperimentConfig, a: float, method: Method) -> CrbCurves:
     """
     theta = math.asin(math.sqrt(a))
     schedule = build_eis_schedule(config.base, config.rounds, config.shots, method)
-    n_qs = np.array([query_count(method, m) for m, _ in schedule.rounds], dtype=float)
+    n_qs = query_count(method, [m for m, _ in schedule.rounds])
     shots = np.array([s for _, s in schedule.rounds], dtype=float)
-    f_classical = np.array(
-        [classical_fisher(method, theta, nq, config.noise, config.size) for nq in n_qs]
-    )
-    f_quantum = np.array([quantum_fisher(nq, config.noise, config.size) for nq in n_qs])
+    f_classical = classical_fisher(method, theta, n_qs, config.noise, config.size)
+    f_quantum = quantum_fisher(n_qs, config.noise, config.size)
     f_ideal = 4.0 * n_qs**2
     n_q_tot = np.cumsum(shots * n_qs)
     f_single = classical_fisher(Method.G, theta, 1.0, config.noise, config.size)

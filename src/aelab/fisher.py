@@ -21,6 +21,10 @@ sampling layer; the curves are smooth in ``n_q``).  Writing
 The chain ``envelope_G <= envelope_Q <= quantum`` holds for every ``d``,
 with three-way equality at d = 2, and ``envelope_Q -> quantum`` pointwise
 as ``d -> infinity``.
+
+Every closed form broadcasts over ``theta`` and ``n_q`` with numpy rules; a
+scalar call returns a Python ``float`` equal, bit for bit, to the array
+call's element.  A zero denominator gives 0 without a floating-point warning.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INFINITE, Method, NoiseModel, SystemSize
+from .model import INFINITE, Method, NoiseModel, SystemSize, _check_theta, _scalar_or_array, decay
 
 __all__ = [
     "classical_fisher",
@@ -44,24 +48,25 @@ __all__ = [
 ]
 
 
-def _powers(r: float, n_q: float) -> tuple[float, float]:
-    """(R, 1-R) for R = r**n_q, the latter via expm1 for accuracy near r=1."""
-    x = n_q * math.log(r)
-    return math.exp(x), -math.expm1(x)
-
-
-def _check_n_q(n_q: float) -> None:
-    if not n_q > 0:
+def _check_n_q(n_q) -> None:
+    n = np.asarray(n_q)
+    if np.count_nonzero(n > 0) != n.size:
         raise ValueError(f"query count must be positive, got {n_q}")
+
+
+def _ratio(num, den):
+    """``num / den``, and 0 where ``den == 0``, as a float or an array."""
+    out = np.zeros(np.broadcast(num, den).shape)
+    return _scalar_or_array(np.divide(num, den, out=out, where=den != 0.0))
 
 
 def classical_fisher(
     method: Method,
-    theta: float,
-    n_q: float,
+    theta,
+    n_q,
     noise: NoiseModel,
     size: SystemSize = INFINITE,
-) -> float:
+) -> float | np.ndarray:
     """Fisher information of the two-outcome distribution at fixed ``theta``.
 
     At ``r = 1`` this reduces to ``4 n_q^2`` everywhere except the isolated
@@ -69,52 +74,50 @@ def classical_fisher(
     probabilities freeze and the value is taken to be 0 (the curves for
     ``r < 1`` genuinely touch 0 there).
     """
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
+    _check_theta(theta)
     _check_n_q(n_q)
-    r_pow, mixed = _powers(noise.r, n_q)
-    s2 = math.sin(n_q * theta) ** 2
-    c2 = math.cos(n_q * theta) ** 2
+    r_pow, _ = decay(noise.r, n_q)
+    x = n_q * np.asarray(theta)
+    s2 = np.square(np.sin(x))
+    c2 = np.square(np.cos(x))
     if method is Method.G:
         den = (0.5 + (c2 - 0.5) * r_pow) * (0.5 + (s2 - 0.5) * r_pow)
     else:
         u = size.inv_d
         den = (u + (c2 - u) * r_pow) * ((1.0 - u) + (s2 - (1.0 - u)) * r_pow)
     num = 4.0 * n_q * n_q * s2 * c2 * r_pow * r_pow
-    if den == 0.0:
-        return 0.0
-    return num / den
+    return _ratio(num, den)
 
 
 def classical_fisher_envelope(
-    method: Method, n_q: float, noise: NoiseModel, size: SystemSize = INFINITE
-) -> float:
+    method: Method, n_q, noise: NoiseModel, size: SystemSize = INFINITE
+) -> float | np.ndarray:
     """Theta-independent upper envelope of :func:`classical_fisher`."""
     _check_n_q(n_q)
-    r_pow, mixed = _powers(noise.r, n_q)
+    r_pow, mixed = decay(noise.r, n_q)
+    top = 4.0 * n_q * n_q * r_pow * r_pow
     if method is Method.G:
-        return 4.0 * n_q * n_q * r_pow * r_pow
+        return _scalar_or_array(top)
     u = size.inv_d
     if u == 0.0:
         # d -> infinity limit: the envelope closes onto the quantum value
         return quantum_fisher(n_q, noise, size)
     alpha = math.sqrt(u * (1.0 - u))
-    beta = math.sqrt((1.0 - u * mixed) * (r_pow + u * mixed))
-    return 4.0 * n_q * n_q * r_pow * r_pow / (beta + alpha * mixed) ** 2
+    beta = np.sqrt((1.0 - u * mixed) * (r_pow + u * mixed))
+    return _scalar_or_array(top / np.square(beta + alpha * mixed))
 
 
-def quantum_fisher(n_q: float, noise: NoiseModel, size: SystemSize = INFINITE) -> float:
+def quantum_fisher(n_q, noise: NoiseModel, size: SystemSize = INFINITE) -> float | np.ndarray:
     """Measurement-optimized Fisher information; identical for both methods."""
     _check_n_q(n_q)
-    r_pow, _ = _powers(noise.r, n_q)
-    if r_pow == 0.0:
-        return 0.0
+    r_pow, _ = decay(noise.r, n_q)
     u = size.inv_d
-    return 4.0 * n_q * n_q * r_pow * r_pow / (2.0 * u + (1.0 - 2.0 * u) * r_pow)
+    return _ratio(4.0 * n_q * n_q * r_pow * r_pow, 2.0 * u + (1.0 - 2.0 * u) * r_pow)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi], |x error| <= xtol."""
+def golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+    """Golden-section maximum ``(x, f(x))`` of a unimodal f on [lo, hi], with
+    x the midpoint of the final bracket, |x error| <= xtol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -159,7 +162,7 @@ def envelope_peak(
     def f(n_q: float) -> float:
         return classical_fisher_envelope(Method.Q, n_q, noise, size)
 
-    return _golden_max(f, 1e-9, -10.0 / log_r, xtol=1e-6)
+    return golden_max(f, 1e-9, -10.0 / log_r, xtol=1e-6)
 
 
 def theta_sweep_max(
@@ -169,25 +172,11 @@ def theta_sweep_max(
     size: SystemSize = INFINITE,
     grid_points: int = 100_000,
 ) -> float:
-    """Maximum of :func:`classical_fisher` over a dense interior theta grid.
-
-    Vectorized replica of the scalar formula, used to confirm numerically
-    that the envelope is attained (it is theta-independent but tight).
-    """
-    _check_n_q(n_q)
+    """Maximum of :func:`classical_fisher` over a dense interior theta grid,
+    used to confirm numerically that the envelope is attained (it is
+    theta-independent but tight)."""
     theta = np.linspace(0.0, math.pi / 2, grid_points + 2)[1:-1]
-    r_pow, _ = _powers(noise.r, n_q)
-    s2 = np.sin(n_q * theta) ** 2
-    c2 = 1.0 - s2
-    if method is Method.G:
-        den = (0.5 + (c2 - 0.5) * r_pow) * (0.5 + (s2 - 0.5) * r_pow)
-    else:
-        u = size.inv_d
-        den = (u + (c2 - u) * r_pow) * ((1.0 - u) + (s2 - (1.0 - u)) * r_pow)
-    num = 4.0 * n_q * n_q * s2 * c2 * r_pow * r_pow
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(den > 0.0, num / den, 0.0)
-    return float(vals.max())
+    return float(classical_fisher(method, theta, n_q, noise, size).max())
 
 
 CURVE_KINDS = ("classical", "classical-envelope", "quantum", "noiseless", "no-amplification")
@@ -217,7 +206,7 @@ def curve(
     method: Method | None = None,
     theta: float | None = None,
 ) -> FisherCurve:
-    """Evaluate one information measure pointwise over ``n_q_grid``.
+    """Evaluate one information measure over ``n_q_grid`` in one array call.
 
     Kinds: ``classical`` (needs method and theta), ``classical-envelope``
     (needs method), ``quantum``, ``noiseless`` (the ideal ``4 n_q^2``), and
@@ -227,28 +216,25 @@ def curve(
     grid = np.asarray(n_q_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("query grid must be a non-empty 1-D sequence")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("query grid must be strictly increasing")
     if kind == "classical":
         if method is None or theta is None:
             raise ValueError("classical curves need both a method and theta")
-        vals = [classical_fisher(method, theta, nq, noise, size) for nq in grid]
+        vals = classical_fisher(method, theta, grid, noise, size)
         label = f"classical[{method.value},theta={theta:g}]"
     elif kind == "classical-envelope":
         if method is None:
             raise ValueError("envelope curves need a method")
-        vals = [classical_fisher_envelope(method, nq, noise, size) for nq in grid]
+        vals = classical_fisher_envelope(method, grid, noise, size)
         label = f"envelope[{method.value}]"
     elif kind == "quantum":
-        vals = [quantum_fisher(nq, noise, size) for nq in grid]
+        vals = quantum_fisher(grid, noise, size)
         label = "quantum"
     elif kind == "noiseless":
-        vals = [4.0 * nq * nq for nq in grid]
+        vals = 4.0 * grid * grid
         label = "noiseless"
     elif kind == "no-amplification":
-        ref = classical_fisher_envelope(Method.G, 1.0, noise, size)
-        vals = [ref] * grid.size
+        vals = np.full(grid.size, classical_fisher_envelope(Method.G, 1.0, noise, size))
         label = "no-amplification"
     else:
         raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
-    return FisherCurve(kind=kind, label=label, n_q=grid, values=np.asarray(vals))
+    return FisherCurve(kind=kind, label=label, n_q=grid, values=vals)

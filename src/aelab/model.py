@@ -21,6 +21,11 @@ register.  The hit probabilities are
 
 Only ``1/d`` is ever stored (see :class:`SystemSize`), which keeps very
 large registers exactly representable in double precision.
+
+Every closed form broadcasts over ``theta`` and ``m`` with numpy rules; a
+scalar call returns a Python number equal, bit for bit, to the array call's
+element.  :func:`decay` and :func:`hit_probability` are the single kernels
+that the estimator and the Fisher layer share.
 """
 
 from __future__ import annotations
@@ -85,22 +90,17 @@ class EstimationProblem:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Depolarizing survival probability per query, plus per-qubit readout error.
+    """Depolarizing survival probability ``r`` per query.
 
-    ``r = 1`` is the noiseless limit.  ``readout_eps`` only enters the
-    analytic readout penalty :func:`readout_factor`; it is never injected
-    into sampling (the sampled distributions model the depolarizing channel
-    only).
+    ``r = 1`` is the noiseless limit.  Readout error is not part of the
+    sampled model; its analytic penalty is :func:`readout_factor`.
     """
 
     r: float
-    readout_eps: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"survival probability r must lie in (0, 1], got {self.r}")
-        if not 0.0 <= self.readout_eps < 1.0:
-            raise ValueError(f"readout error must lie in [0, 1), got {self.readout_eps}")
 
     @property
     def noiseless(self) -> bool:
@@ -183,45 +183,60 @@ class RoundOutcome:
             raise ValueError(f"hits must lie in [0, {self.shots}], got {self.hits}")
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 < theta < math.pi / 2:
+def _scalar_or_array(x):
+    """Python float for a 0-d result, the array otherwise."""
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
+def _check_theta(theta) -> None:
+    t = np.asarray(theta)
+    if np.count_nonzero((t > 0.0) & (t < math.pi / 2)) != t.size:
         raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta}")
 
 
-def query_count(method: Method, m: int) -> int:
+def query_count(method: Method, m) -> int | np.ndarray:
     """Number of queries consumed by ``m`` amplification steps.
 
     ``2*m + 1`` for :attr:`Method.G` (the initial preparation counts),
-    ``2*m`` for :attr:`Method.Q`.
+    ``2*m`` for :attr:`Method.Q`; an integer array for an array ``m``.
     """
-    if m < 0:
+    ms = np.asarray(m)
+    if np.count_nonzero(ms < 0):
         raise ValueError(f"amplification count must be >= 0, got {m}")
-    return 2 * m + 1 if method is Method.G else 2 * m
+    n_q = 2 * ms + 1 if method is Method.G else 2 * ms
+    return int(n_q) if n_q.ndim == 0 else n_q
 
 
-def prob_terms(
-    method: Method, m: int, noise: NoiseModel, size: SystemSize = INFINITE
-) -> tuple[int, float, float]:
+def decay(r: float, n_q):
+    """``(R, 1 - R)`` for ``R = r**n_q``, the latter via ``expm1`` to stay
+    accurate near ``r = 1``.  Broadcasts over ``n_q``."""
+    x = n_q * math.log(r)
+    return _scalar_or_array(np.exp(x)), _scalar_or_array(-np.expm1(x))
+
+
+def hit_probability(x, r_pow, floor):
+    """``R*sin^2(x) + floor`` at phase ``x = n_q*theta``, clipped to [0, 1]
+    against the <= 1 ulp spill of the multiply-add."""
+    # np.square, not ** 2: on a numpy scalar ** 2 calls pow, which can miss the array result by 1 ulp
+    return np.minimum(np.maximum(r_pow * np.square(np.sin(x)) + floor, 0.0), 1.0)
+
+
+def prob_terms(method: Method, m, noise: NoiseModel, size: SystemSize = INFINITE):
     """Decompose the hit probability as ``p1 = R*sin^2(n_q*theta) + floor``.
 
     Returns ``(n_q, R, floor)`` with ``R = r**n_q`` and the theta-independent
-    noise floor ``(1-R)/2`` (G) or ``(1-R)*(d-1)/d`` (Q).  ``1 - R`` is
-    computed with ``expm1`` to stay accurate near ``r = 1``.
+    noise floor ``(1-R)/2`` (G) or ``(1-R)*(d-1)/d`` (Q), as arrays when
+    ``m`` is an array.
     """
     n_q = query_count(method, m)
-    log_r = math.log(noise.r)
-    r_pow = math.exp(n_q * log_r)
-    mixed = -math.expm1(n_q * log_r)  # 1 - r**n_q
-    if method is Method.G:
-        floor = mixed / 2.0
-    else:
-        floor = mixed * (1.0 - size.inv_d)
+    r_pow, mixed = decay(noise.r, n_q)
+    floor = mixed / 2.0 if method is Method.G else mixed * (1.0 - size.inv_d)
     return n_q, r_pow, floor
 
 
 def prob_good(
-    method: Method, theta: float, m: int, noise: NoiseModel, size: SystemSize = INFINITE
-) -> float:
+    method: Method, theta, m, noise: NoiseModel, size: SystemSize = INFINITE
+) -> float | np.ndarray:
     """Probability of the good outcome after ``m`` noisy amplification rounds.
 
     Good means flag qubit 1 for :attr:`Method.G` and any-nonzero outcome for
@@ -229,17 +244,20 @@ def prob_good(
     """
     _check_theta(theta)
     n_q, r_pow, floor = prob_terms(method, m, noise, size)
-    p1 = r_pow * math.sin(n_q * theta) ** 2 + floor
-    # guard the <= 1 ulp spill from the multiply-add
-    return min(max(p1, 0.0), 1.0)
+    return _scalar_or_array(hit_probability(n_q * np.asarray(theta), r_pow, floor))
 
 
-def prob_pair(
-    method: Method, theta: float, m: int, noise: NoiseModel, size: SystemSize = INFINITE
-) -> tuple[float, float]:
+def prob_pair(method: Method, theta, m, noise: NoiseModel, size: SystemSize = INFINITE):
     """Both outcome probabilities ``(p0, p1)`` with ``p0 + p1 == 1`` exactly."""
     p1 = prob_good(method, theta, m, noise, size)
     return 1.0 - p1, p1
+
+
+def draw_round(m: int, shots: int, p1: float, seed: int) -> RoundOutcome:
+    """``shots`` measurements with hit probability ``p1``, drawn from the
+    counter-based Philox stream keyed by ``seed`` alone."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return RoundOutcome(m=m, shots=shots, hits=int(rng.binomial(shots, p1)))
 
 
 def sample_round(
@@ -253,16 +271,12 @@ def sample_round(
 ) -> RoundOutcome:
     """Draw one round of measurements: ``hits ~ Binomial(shots, prob_good)``.
 
-    The generator is a counter-based Philox stream keyed by ``seed`` alone,
-    so identical arguments reproduce identical outcomes regardless of call
+    Identical arguments reproduce identical outcomes regardless of call
     order or threading.  Derive per-round seeds with :func:`derive_seed`.
     """
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
-    p1 = prob_good(method, theta, m, noise, size)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    hits = int(rng.binomial(shots, p1))
-    return RoundOutcome(m=m, shots=shots, hits=hits)
+    return draw_round(m, shots, prob_good(method, theta, m, noise, size), seed)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

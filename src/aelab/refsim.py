@@ -173,7 +173,7 @@ def depolarize(mat: np.ndarray, r: float) -> np.ndarray:
     """
     dim = mat.shape[0]
     out = r * mat
-    out[np.diag_indices(dim)] += (1.0 - r) * np.trace(mat) / dim
+    out.flat[:: dim + 1] += (1.0 - r) * np.trace(mat) / dim
     return out
 
 
@@ -447,7 +447,6 @@ def run_equivalence_suite(
     seeds: int = 20,
     master_seed: int = 7,
     perturb_r: float = 0.0,
-    include_cfi: bool = True,
 ) -> EquivalenceReport:
     """Compare the simulator against every closed form over a parameter grid.
 
@@ -457,7 +456,8 @@ def run_equivalence_suite(
     checked against their closed-form counterparts, and the quantum Fisher
     information against the general circuit bound.  Each case is evolved
     once: both Fisher informations come from the propagated derivative
-    ``drho`` of that evolution.
+    ``drho`` of that evolution.  The closed-form references are evaluated
+    once per (n, seed, r, method) over all of ``m_values``.
 
     ``perturb_r`` shrinks the survival probability used *inside the
     simulator only* by the given relative amount; any nonzero value must
@@ -480,19 +480,30 @@ def run_equivalence_suite(
             theta = float(rng.uniform(0.02, math.pi / 2 - 0.02))
             w_seed = int(rng.integers(0, 2**63 - 1))
             factory = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
-            for m in m_values:
+            refs = {}  # closed forms over m_values, per (r, method)
+            for r in r_values:
+                noise = NoiseModel(r)
+                for method in (Method.G, Method.Q):
+                    n_qs = query_count(method, m_values)
+                    # zero-query rounds have no reference information; their entries go unused
+                    live = np.maximum(n_qs, 1)
+                    refs[r, method] = list(zip(
+                        n_qs.tolist(),
+                        prob_good(method, theta, m_values, noise, size).tolist(),
+                        quantum_fisher(live, noise, size).tolist(),
+                        classical_fisher(method, theta, live, noise, size).tolist(),
+                    ))
+            for mi, m in enumerate(m_values):
                 for r in r_values:
-                    noise = NoiseModel(r)
                     r_sim = r * (1.0 - perturb_r)
                     for method in (Method.G, Method.Q):
-                        n_q = query_count(method, m)
+                        n_q, p_ref, qfi_ref, cfi_ref = refs[r, method][mi]
                         rho, drho = evolve_with_derivative(method, m, factory, r_sim)
                         _, p1 = measure_probs(rho, method)
-                        prob_dev = abs(p1 - prob_good(method, theta, m, noise, size))
+                        prob_dev = abs(p1 - p_ref)
 
                         qfi_num = _spectral_qfi(rho, drho, cutoff=1e-12)
                         if n_q > 0:
-                            qfi_ref = quantum_fisher(n_q, noise, size)
                             qfi_rel = abs(qfi_num - qfi_ref) / qfi_ref
                             bound = theorem_bound(n_q, d, [r] * n_q)
                             excess = max(0.0, (qfi_num - bound) / bound)
@@ -507,13 +518,12 @@ def run_equivalence_suite(
                             rot = rotation_check(factory, m)
 
                         cfi = None
-                        if include_cfi and n_q > 0:
+                        if n_q > 0:
                             r_pow = r**n_q
                             # the relative deviation is ill-conditioned where
                             # the probability derivative nearly vanishes
                             if r_pow * abs(math.sin(2.0 * n_q * theta)) > 1e-3:
                                 cfi_num = propagated_classical_fisher(rho, drho, method)
-                                cfi_ref = classical_fisher(method, theta, n_q, noise, size)
                                 cfi = abs(cfi_num - cfi_ref) / cfi_ref
                         cases.append(
                             EquivalenceCase(

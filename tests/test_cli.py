@@ -104,6 +104,13 @@ class TestFisherCurves:
         assert run_cli("fisher-curves", "--nq-points", "0",
                        "--out", str(tmp_path / "x.csv")) == 1
 
+    def test_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["fisher-curves", "--n-qubits", "1,100,inf", "--nq-max", "400", "--nq-points", "200"]
+        assert run_cli(*argv, "--out", str(a)) == 0
+        assert run_cli(*argv, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestSimulate:
     def test_small_run_and_filter(self, tmp_path):

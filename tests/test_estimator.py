@@ -238,15 +238,18 @@ class TestRunExperiment:
             )
 
     def test_round_seeds_reproduce_outcomes(self):
-        # the documented derivation rule regenerates the exact draws
-        cfg = ExperimentConfig(targets=(1 / 3,), rounds=5, repetitions=2, master_seed=77)
-        sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, Method.G)
+        # the documented derivation rule regenerates the exact draws, so the
+        # record sampler and the single-round sampler stay interchangeable
+        cfg = ExperimentConfig(targets=(1 / 3,), repetitions=2, master_seed=77)
         theta = math.asin(math.sqrt(1 / 3))
-        rec = sample_record(Method.G, theta, sched, cfg.noise, cfg.size, 77, 0, 0, 1)
-        for j, (m, shots) in enumerate(sched.rounds):
-            seed = derive_seed(77, 0, 0, 1, j)
-            redo = sample_round(Method.G, theta, m, shots, cfg.noise, cfg.size, seed)
-            assert redo == rec.outcomes[j]
+        for code, method in enumerate(Method):
+            sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
+            assert len(sched) == 37 - code  # the reference schedule
+            rec = sample_record(method, theta, sched, cfg.noise, cfg.size, 77, code, 0, 1)
+            for j, (m, shots) in enumerate(sched.rounds):
+                seed = derive_seed(77, code, 0, 1, j)
+                redo = sample_round(method, theta, m, shots, cfg.noise, cfg.size, seed)
+                assert redo == rec.outcomes[j]
 
     def test_efficiency_at_desk_scale(self):
         # the estimator tracks the classical bound once data accumulate

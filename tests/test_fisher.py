@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aelab import (
     INFINITE,
@@ -12,6 +14,7 @@ from aelab import (
     classical_fisher_envelope,
     curve,
     envelope_peak,
+    prob_good,
     quantum_fisher,
     theta_sweep_max,
 )
@@ -169,6 +172,48 @@ class TestQuantumFisher:
                         )
 
 
+class TestBroadcast:
+    """One array call equals the elementwise scalar calls, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        r=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        size=st.one_of(st.integers(min_value=1, max_value=200).map(SystemSize), st.just(INFINITE)),
+        thetas=st.lists(st.floats(min_value=1e-6, max_value=math.pi / 2 - 1e-6), min_size=1, max_size=6),
+        n_qs=st.lists(st.floats(min_value=1e-3, max_value=5000.0), min_size=1, max_size=6),
+        ms=st.lists(st.integers(min_value=0, max_value=2000), min_size=1, max_size=6),
+    )
+    # a numpy scalar's cos(x) ** 2 goes through pow and misses the array result by 1 ulp here
+    @example(Method.G, 0.875, INFINITE, [1.4249414685936639], [1273.6317260202404], [0])
+    def test_array_call_equals_scalar_calls(self, method, r, size, thetas, n_qs, ms):
+        noise = NoiseModel(r)
+        # theta along the rows, m or n_q along the columns
+        for f, cols in (
+            (lambda t, k: prob_good(method, t, k, noise, size), ms),
+            (lambda t, k: classical_fisher(method, t, k, noise, size), n_qs),
+        ):
+            expect = [[f(t, k) for k in cols] for t in thetas]
+            assert all(type(v) is float for row in expect for v in row)
+            got = f(np.array(thetas)[:, None], np.array(cols))
+            np.testing.assert_array_equal(got, expect, strict=True)
+        for f in (
+            lambda k: classical_fisher_envelope(method, k, noise, size),
+            lambda k: quantum_fisher(k, noise, size),
+        ):
+            expect = [f(k) for k in n_qs]
+            assert all(type(v) is float for v in expect)
+            np.testing.assert_array_equal(f(np.array(n_qs)), expect, strict=True)
+
+    def test_fully_decayed_is_zero(self):
+        # r**n_q underflows to 0: on an infinite register every denominator
+        # vanishes too, and the guards return 0 without a division warning
+        noise, n_q = NoiseModel(0.5), np.array([2e3, 1e6])
+        assert np.all(classical_fisher(Method.Q, 0.3, n_q, noise, INFINITE) == 0.0)
+        assert np.all(classical_fisher_envelope(Method.Q, n_q, noise, INFINITE) == 0.0)
+        assert np.all(quantum_fisher(n_q, noise, INFINITE) == 0.0)
+
+
 class TestEnvelopePeak:
     def test_g_closed_form(self):
         loc, val = envelope_peak(Method.G, 0.99)
@@ -214,7 +259,7 @@ class TestEnvelopePeak:
 
 class TestThetaSweep:
     def test_matches_scalar_formula(self):
-        # the vectorized sweep is a replica of the scalar op; pin them together
+        # the sweep is the kernel's maximum over the interior grid
         rng = np.random.default_rng(5)
         noise = NoiseModel(0.95)
         size = SystemSize(3)

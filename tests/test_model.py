@@ -45,11 +45,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             NoiseModel(r)
 
-    @pytest.mark.parametrize("eps", [-0.1, 1.0])
-    def test_noise_rejects_bad_eps(self, eps):
-        with pytest.raises(ValueError):
-            NoiseModel(0.9, readout_eps=eps)
-
     def test_system_size_inv_d(self):
         assert SystemSize(1).inv_d == 0.5
         assert SystemSize(2).inv_d == 0.25
