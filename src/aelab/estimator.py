@@ -43,13 +43,14 @@ from .model import (
     Schedule,
     SystemSize,
     _check_theta,
-    derive_seed,
-    draw_round,
+    derive_seed,  # noqa: F401  perfbench/layers.py traces aelab.estimator.derive_seed
+    draw_hits,
     hit_probability,
     prob_good,
     prob_terms,
     query_count,
     sample_round,  # noqa: F401  perfbench/layers.py traces aelab.estimator.sample_round
+    seed_keys,
 )
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "build_eis_schedule",
     "log_likelihood",
     "mle_estimate",
+    "sample_hits",
     "sample_record",
     "crb_curves",
     "run_experiment",
@@ -95,6 +97,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.base <= 1.0:
             raise ValueError(f"schedule base must exceed 1, got {self.base}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be a non-negative integer, got {self.master_seed}")
         if self.rounds < 1 or self.shots < 1 or self.repetitions < 1:
             raise ValueError("rounds, shots and repetitions must all be >= 1")
         if not self.targets or not all(0.0 < a < 1.0 for a in self.targets):
@@ -345,6 +349,29 @@ def mle_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize 
     return grid.estimate(*_counts(record.outcomes))
 
 
+def sample_hits(
+    method: Method,
+    theta: float,
+    schedule: Schedule,
+    noise: NoiseModel,
+    size: SystemSize,
+    master_seed: int,
+    *path,
+) -> np.ndarray:
+    """Hits of every round of the records on a grid of seed paths.
+
+    Path components are ints or integer arrays that broadcast together; the
+    result has their shape plus a trailing round axis, and round ``j`` of
+    path ``P`` draws with the seed ``derive_seed(master_seed, *P, j)``.  So
+    ``sample_hits(..., seed, code, ti, np.arange(reps))`` gives the
+    ``(reps, rounds)`` hits of one experiment cell.
+    """
+    p1 = prob_good(method, theta, [m for m, _ in schedule.rounds], noise, size)
+    shots = [s for _, s in schedule.rounds]
+    grid = [np.asarray(c)[..., None] if np.ndim(c) else c for c in path]
+    return draw_hits(shots, p1, seed_keys(master_seed, *grid, np.arange(len(shots))))
+
+
 def sample_record(
     method: Method,
     theta: float,
@@ -356,15 +383,10 @@ def sample_record(
 ) -> MeasurementRecord:
     """Draw outcomes for every round; round j uses seed (master, *path, j).
 
-    Round j equals ``sample_round`` with that seed; one :func:`prob_good`
-    call gives the hit probabilities of all rounds.
+    The hits are one path of :func:`sample_hits`.
     """
-    ms = [m for m, _ in schedule.rounds]
-    p1 = prob_good(method, theta, ms, noise, size).tolist()
-    outcomes = tuple(
-        draw_round(m, shots, p, derive_seed(master_seed, *path, j))
-        for j, ((m, shots), p) in enumerate(zip(schedule.rounds, p1))
-    )
+    hits = sample_hits(method, theta, schedule, noise, size, master_seed, *path).tolist()
+    outcomes = tuple(RoundOutcome(m, shots, h) for (m, shots), h in zip(schedule.rounds, hits))
     return MeasurementRecord(method=method, outcomes=outcomes)
 
 
@@ -453,11 +475,12 @@ _METHOD_CODE = {Method.G: 0, Method.Q: 1}
 def run_experiment(config: ExperimentConfig) -> RmseTable:
     """Monte-Carlo RMSE of the maximum-likelihood estimate per schedule prefix.
 
-    For every (method, target) cell, ``repetitions`` records are drawn with
-    seeds derived from ``(master_seed, method_code, target_index,
-    repetition, round)``; each repetition is sampled once in full and every
-    prefix reuses its first rounds, mirroring an experimenter accumulating
-    data.  The result is bit-reproducible for a fixed config.
+    For every (method, target) cell, one :func:`sample_hits` call draws the
+    ``(repetitions, rounds)`` hits with seeds derived from ``(master_seed,
+    method_code, target_index, repetition, round)``; each repetition is
+    sampled once in full and every prefix reuses its first rounds, mirroring
+    an experimenter accumulating data.  The result is bit-reproducible for a
+    fixed config.
     """
     rows: list[RmseRow] = []
     for method in config.methods:
@@ -466,20 +489,17 @@ def run_experiment(config: ExperimentConfig) -> RmseTable:
         shots = np.array([s for _, s in schedule.rounds], dtype=float)
         for ti, a in enumerate(config.targets):
             theta = math.asin(math.sqrt(a))
-            hits = np.empty((config.repetitions, len(schedule)))
-            for rep in range(config.repetitions):
-                record = sample_record(
-                    method,
-                    theta,
-                    schedule,
-                    config.noise,
-                    config.size,
-                    config.master_seed,
-                    _METHOD_CODE[method],
-                    ti,
-                    rep,
-                )
-                hits[rep] = [oc.hits for oc in record.outcomes]
+            hits = sample_hits(
+                method,
+                theta,
+                schedule,
+                config.noise,
+                config.size,
+                config.master_seed,
+                _METHOD_CODE[method],
+                ti,
+                np.arange(config.repetitions),
+            )
             estimates = grid.fit_prefixes(hits, shots - hits)
             rmse = np.sqrt(np.mean((estimates - theta) ** 2, axis=0))
             bounds = crb_curves(config, a, method)

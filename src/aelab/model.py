@@ -26,11 +26,24 @@ Every closed form broadcasts over ``theta`` and ``m`` with numpy rules; a
 scalar call returns a Python number equal, bit for bit, to the array call's
 element.  :func:`decay` and :func:`hit_probability` are the single kernels
 that the estimator and the Fisher layer share.
+
+Sampling is counter-keyed.  A round's seed is a pure function of its path:
+round ``j`` of repetition ``rep`` of target ``ti`` for the method with seed
+code ``code`` (G 0, Q 1) draws with
+``derive_seed(master_seed, code, ti, rep, j)``, which is
+``SeedSequence([master_seed, code, ti, rep, j]).generate_state(1, np.uint64)[0]``.
+:func:`seed_keys` computes that hash for a whole grid of paths at once, and
+:func:`derive_seed` is its one-path call.  A round's hits are the first
+``binomial`` of a fresh ``Generator(Philox(key=seed))``; :func:`draw_hits`
+serves every key from one generator whose state it resets to that key,
+counter 0 and an empty buffer before each draw, which gives exactly those
+hits.  So the draws do not depend on call order, batching or threading.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +65,8 @@ __all__ = [
     "readout_factor",
     "breakeven_qubits",
     "derive_seed",
+    "seed_keys",
+    "draw_hits",
 ]
 
 
@@ -253,11 +268,147 @@ def prob_pair(method: Method, theta, m, noise: NoiseModel, size: SystemSize = IN
     return 1.0 - p1, p1
 
 
-def draw_round(m: int, shots: int, p1: float, seed: int) -> RoundOutcome:
-    """``shots`` measurements with hit probability ``p1``, drawn from the
-    counter-based Philox stream keyed by ``seed`` alone."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return RoundOutcome(m=m, shots=shots, hits=int(rng.binomial(shots, p1)))
+# numpy.random.SeedSequence's hash constants (pool of four uint32 words)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# The hash below is uint32 arithmetic written so that it runs unchanged on
+# Python ints (one path) and on uint64 arrays (many paths): every product of
+# two words fits in 64 bits, and each result is masked back to 32 bits.
+
+
+def _mix(x, y):
+    v = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return v ^ v >> 16
+
+
+def _hashmix(const: int):
+    """SeedSequence's ``hashmix``: each call advances the multiplier by ``_MULT_A``."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _split(value: int) -> list[int]:
+    """SeedSequence's split of a non-negative int into uint32 words, least
+    significant first; 0 is one word."""
+    if value < 0:
+        raise ValueError("seed components must be non-negative integers")
+    return [value >> (32 * w) & _MASK32 for w in range(max(1, -(-value.bit_length() // 32)))]
+
+
+def _entropy(components, shape) -> tuple[list, object]:
+    """The concatenated entropy words of every path, one column per word
+    position, and the number of words of each path.
+
+    All-scalar components give Python ints; otherwise each column is a
+    uint64 array over the flattened paths, zero past a path's own length.
+    """
+    if not shape:
+        words = [w for c in components for w in _split(operator.index(c))]
+        return words, len(words)
+    count = math.prod(shape)
+    parts = []
+    for c in components:
+        if np.ndim(c):
+            c = np.broadcast_to(c, shape).reshape(-1)
+            if c.dtype.kind not in "iu":
+                raise TypeError(f"seed components must be integers, got {c.dtype}")
+            if np.count_nonzero(c < 0):
+                raise ValueError("seed components must be non-negative integers")
+            c = c.astype(np.uint64)
+            hi = c >> 32
+            parts.append((np.stack([c & _MASK32, hi], axis=-1), 1 + (hi != 0)))
+        else:
+            split = _split(operator.index(c))
+            words = np.broadcast_to(np.array(split, dtype=np.uint64), (count, len(split)))
+            parts.append((words, np.full(count, len(split))))
+    lengths = sum(n for _, n in parts)
+    entropy = np.zeros((count, int(np.max(lengths, initial=1))), dtype=np.uint64)
+    rows, at = np.arange(count), np.zeros(count, dtype=np.intp)
+    for words, n in parts:
+        for w in range(words.shape[1]):
+            live = w < n
+            entropy[rows[live], at[live] + w] = words[live, w]
+        at += n
+    return list(entropy.T), lengths
+
+
+def seed_keys(master_seed: int, *path) -> np.ndarray:
+    """:func:`derive_seed` of every path on a broadcast grid, as a uint64 array.
+
+    Each component is a non-negative int or an integer array; the arrays
+    broadcast together and the result has their shape.  The key of a path is
+    ``SeedSequence([master_seed, *path]).generate_state(1, np.uint64)[0]``,
+    computed by the same uint32 arithmetic for all paths at once; a word
+    position beyond a path's own length leaves that path untouched.
+    """
+    components = (master_seed, *path)
+    shape = np.broadcast_shapes(*(np.shape(c) for c in components))
+    columns, lengths = _entropy(components, shape)
+    # SeedSequence.mix_entropy: the first words fill the pool (zero past the
+    # end), the pool mixes with itself, then each remaining word mixes in
+    hashmix = _hashmix(_INIT_A)
+    pool = [hashmix(columns[i] if i < len(columns) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(columns)):
+        live = src < lengths  # True for one path; per path for a grid
+        for dst in range(_POOL_SIZE):
+            mixed = _mix(pool[dst], hashmix(columns[src]))
+            pool[dst] = mixed if live is True else np.where(live, mixed, pool[dst])
+    # SeedSequence.generate_state(1, np.uint64): two words, low word first
+    const, state = _INIT_B, []
+    for word in pool[:2]:
+        word = word ^ const
+        const = const * _MULT_B & _MASK32
+        word = word * const & _MASK32
+        state.append(word ^ word >> 16)
+    return np.asarray(state[0] | state[1] << 32, dtype=np.uint64).reshape(shape)
+
+
+def derive_seed(master_seed: int, *path: int) -> int:
+    """Hash a master seed and an index path into an independent 64-bit seed.
+
+    The same ``(master_seed, *path)`` always yields the same seed, and
+    distinct paths yield statistically independent Philox keys; this is the
+    rule experiment drivers use, with path
+    ``(method_code, target_index, repetition_index, round_index)``.  One
+    path of :func:`seed_keys`.
+    """
+    return int(seed_keys(master_seed, *path))
+
+
+def draw_hits(shots, p1, keys) -> np.ndarray:
+    """``Binomial(shots, p1)`` hits, one draw per 64-bit Philox key.
+
+    ``shots``, ``p1`` and ``keys`` broadcast together.  Each draw equals the
+    first binomial of a fresh ``Generator(Philox(key=k))``: one generator
+    serves every key, its state reset to that key, counter 0 and an empty
+    buffer before each draw.
+    """
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state  # key 0, counter 0, empty buffer
+    key = state["state"]["key"]
+    shots, p1, keys = np.broadcast_arrays(shots, p1, keys)
+    hits = []
+    for n, p, k in zip(shots.ravel().tolist(), p1.ravel().tolist(), keys.ravel().tolist()):
+        key[0] = k
+        bit_generator.state = state
+        hits.append(rng.binomial(n, p))
+    return np.array(hits, dtype=np.int64).reshape(keys.shape)
 
 
 def sample_round(
@@ -276,21 +427,8 @@ def sample_round(
     """
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
-    return draw_round(m, shots, prob_good(method, theta, m, noise, size), seed)
-
-
-def derive_seed(master_seed: int, *path: int) -> int:
-    """Hash a master seed and an index path into an independent 64-bit seed.
-
-    The same ``(master_seed, *path)`` always yields the same seed, and
-    distinct paths yield statistically independent Philox keys; this is the
-    rule experiment drivers use, with path
-    ``(method_index, target_index, repetition_index, round_index)``.
-    """
-    if master_seed < 0 or any(p < 0 for p in path):
-        raise ValueError("seed components must be non-negative integers")
-    ss = np.random.SeedSequence([int(master_seed), *(int(p) for p in path)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    p1 = prob_good(method, theta, m, noise, size)
+    return RoundOutcome(m=m, shots=shots, hits=int(draw_hits(shots, p1, np.uint64(seed))))
 
 
 def readout_factor(n: int, eps: float) -> float:

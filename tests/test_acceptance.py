@@ -87,16 +87,16 @@ def test_criterion_3_fisher_inequality_chain():
     sizes = [SystemSize(1), SystemSize(2), SystemSize(10), SystemSize(100), INFINITE]
     worst_chain = 0.0
     worst_eq = 0.0
-    for n_q in range(1, 2001):
-        for r in (0.9, 0.99, 0.999):
-            noise = NoiseModel(r)
-            for size in sizes:
-                eg = classical_fisher_envelope(Method.G, n_q, noise, size)
-                eq_ = classical_fisher_envelope(Method.Q, n_q, noise, size)
-                qf = quantum_fisher(n_q, noise, size)
-                worst_chain = max(worst_chain, (eg - eq_) / qf, (eq_ - qf) / qf)
-                if size.n == 1:
-                    worst_eq = max(worst_eq, abs(eg - qf) / qf, abs(eq_ - qf) / qf)
+    n_q = np.arange(1, 2001)
+    for r in (0.9, 0.99, 0.999):
+        noise = NoiseModel(r)
+        for size in sizes:
+            eg = classical_fisher_envelope(Method.G, n_q, noise, size)
+            eq_ = classical_fisher_envelope(Method.Q, n_q, noise, size)
+            qf = quantum_fisher(n_q, noise, size)
+            worst_chain = max(worst_chain, np.max((eg - eq_) / qf), np.max((eq_ - qf) / qf))
+            if size.n == 1:
+                worst_eq = max(worst_eq, np.max(abs(eg - qf) / qf), np.max(abs(eq_ - qf) / qf))
     ok = worst_chain <= 1e-9 and worst_eq <= 1e-12
     report(3, "envelope(G) <= envelope(Q) <= quantum, equal at one qubit", ok,
            f"(worst chain violation {worst_chain:.2e}, worst 1-qubit split {worst_eq:.2e})")
@@ -112,8 +112,8 @@ def test_criterion_4_peak_ratios():
     # and scan the envelopes directly as an independent numerical check
     grid = np.arange(1.0, 500.0, 0.02)
     noise = NoiseModel(r)
-    scan_g = max(classical_fisher_envelope(Method.G, nq, noise) for nq in grid)
-    scan_q = max(classical_fisher_envelope(Method.Q, nq, noise, INFINITE) for nq in grid)
+    scan_g = classical_fisher_envelope(Method.G, grid, noise).max()
+    scan_q = classical_fisher_envelope(Method.Q, grid, noise, INFINITE).max()
     ok = (
         abs(val_q / val_g - 4.0) <= 1e-6
         and abs(loc_q / loc_g - 2.0) <= 1e-6
@@ -181,15 +181,15 @@ def test_criterion_7_rescaling_law():
     for c in (0.5, 2.0, 5.0):
         noise_c = NoiseModel(0.99**c)
         for size in (SystemSize(1), SystemSize(10), SystemSize(100), INFINITE):
-            for n_q in range(1, 501):
-                for f in (
-                    lambda nq, ns: classical_fisher_envelope(Method.G, nq, ns, size),
-                    lambda nq, ns: classical_fisher_envelope(Method.Q, nq, ns, size),
-                    lambda nq, ns: quantum_fisher(nq, ns, size),
-                ):
-                    lhs = f(n_q, noise_c)
-                    rhs = f(c * n_q, noise) / c**2
-                    worst = max(worst, abs(lhs - rhs) / rhs)
+            n_q = np.arange(1, 501)
+            for f in (
+                lambda nq, ns: classical_fisher_envelope(Method.G, nq, ns, size),
+                lambda nq, ns: classical_fisher_envelope(Method.Q, nq, ns, size),
+                lambda nq, ns: quantum_fisher(nq, ns, size),
+            ):
+                lhs = f(n_q, noise_c)
+                rhs = f(c * n_q, noise) / c**2
+                worst = max(worst, np.max(abs(lhs - rhs) / rhs))
     ok = worst <= 1e-9
     report(7, "noise-power rescaling identity for envelopes and quantum bound", ok,
            f"(worst relative deviation {worst:.2e})")

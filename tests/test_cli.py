@@ -158,6 +158,12 @@ class TestSimulate:
         assert all(row["method"] == "q" for row in payload["rows"])
 
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rmse.csv"
+        assert run_cli("simulate", "--seed", "-1", "--out", str(out)) == 1
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unresolvable_schedule_is_refused(self, tmp_path, capsys):
         out = tmp_path / "rmse.csv"
         assert run_cli("simulate", "--r", "1", "--n-qubits", "inf", "--rounds", "72",

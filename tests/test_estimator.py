@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from aelab import (
     log_likelihood,
     mle_estimate,
     run_experiment,
+    sample_hits,
     sample_record,
     sample_round,
 )
@@ -250,6 +252,27 @@ class TestRunExperiment:
                 seed = derive_seed(77, code, 0, 1, j)
                 redo = sample_round(method, theta, m, shots, cfg.noise, cfg.size, seed)
                 assert redo == rec.outcomes[j]
+
+    def test_pinned_hits(self):
+        # the sha256 below was computed with the per-record sampler
+        # (sample_record, one SeedSequence and one fresh Philox generator per
+        # round) before the cell sampler replaced it; the hits must never move
+        cfg = ExperimentConfig(targets=(1 / 3, 1 / 12), rounds=12, repetitions=3, master_seed=2**33 + 5)
+        digest = hashlib.sha256()
+        for code, method in enumerate(cfg.methods):
+            sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
+            for ti, a in enumerate(cfg.targets):
+                theta = math.asin(math.sqrt(a))
+                args = (method, theta, sched, cfg.noise, cfg.size, cfg.master_seed, code, ti)
+                hits = sample_hits(*args, np.arange(cfg.repetitions))
+                for rep in range(cfg.repetitions):
+                    assert [oc.hits for oc in sample_record(*args, rep).outcomes] == hits[rep].tolist()
+                digest.update(hits.astype("<i8").tobytes())
+        assert digest.hexdigest() == "a108d70d09b53bf928c2fa75016472103321cb5f3a20074cd736558b90e4ab27"
+
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ExperimentConfig(master_seed=-1)
 
     def test_efficiency_at_desk_scale(self):
         # the estimator tracks the classical bound once data accumulate

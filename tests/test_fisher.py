@@ -65,12 +65,11 @@ class TestClassicalFisher:
         for method in Method:
             size = SystemSize(10)
             noise = NoiseModel(0.97)
-            for _ in range(10_000):
-                theta = rng.uniform(1e-4, math.pi / 2 - 1e-4)
-                n_q = rng.uniform(1.0, 300.0)
-                cf = classical_fisher(method, theta, n_q, noise, size)
-                env = classical_fisher_envelope(method, n_q, noise, size)
-                assert cf <= env * (1 + 1e-9)
+            # (theta, n_q) pairs in the order scalar uniform draws would give them
+            theta, n_q = rng.uniform([1e-4, 1.0], [math.pi / 2 - 1e-4, 300.0], size=(10_000, 2)).T
+            cf = classical_fisher(method, theta, n_q, noise, size)
+            env = classical_fisher_envelope(method, n_q, noise, size)
+            assert np.all(cf <= env * (1 + 1e-9))
 
 
 class TestEnvelopes:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from aelab import (
     readout_factor,
     sample_round,
 )
+from aelab.model import draw_hits, seed_keys
 
 SIZES = [SystemSize(1), SystemSize(10), SystemSize(100), INFINITE]
 
@@ -184,6 +186,50 @@ class TestDeriveSeed:
             derive_seed(-1)
         with pytest.raises(ValueError):
             derive_seed(1, -2)
+        with pytest.raises(ValueError):
+            seed_keys(1, 0, np.array([3, -2]))
+
+    @given(
+        master=st.integers(min_value=0, max_value=2**80 - 1),
+        paths=st.integers(min_value=1, max_value=6).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(min_value=0, max_value=2**40 - 1), min_size=k, max_size=k),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_keys_equal_seed_sequence(self, master, paths):
+        # components of 2**32 and above split into several words, so the
+        # paths of one array call can differ in length
+        keys = seed_keys(master, *np.array(paths, dtype=np.int64).T)
+        assert keys.dtype == np.uint64 and keys.shape == (len(paths),)
+        for key, path in zip(keys.tolist(), paths):
+            expected = int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
+            assert derive_seed(master, *path) == expected
+            assert key == expected
+
+
+class TestDrawHits:
+    @given(
+        draws=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**64 - 1),
+                st.integers(min_value=1, max_value=1000),
+                st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reset_draw_equals_fresh_generator(self, draws):
+        # the draws follow one another on one reset generator
+        keys, shots, p1 = zip(*draws)
+        hits = draw_hits(np.array(shots), np.array(p1), np.array(keys, dtype=np.uint64))
+        for h, (key, n, p) in zip(hits.tolist(), draws):
+            assert h == np.random.Generator(np.random.Philox(key=key)).binomial(n, p)
 
 
 class TestReadout:
