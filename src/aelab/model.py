@@ -285,13 +285,14 @@ def _mix(x, y):
     return v ^ v >> 16
 
 
-def _hashmix(const: int):
-    """SeedSequence's ``hashmix``: each call advances the multiplier by ``_MULT_A``."""
+def _hashmix(const: int, mult: int):
+    """SeedSequence's ``hashmix`` (``_INIT_A``, ``_MULT_A``) or its output
+    hash (``_INIT_B``, ``_MULT_B``): each call advances the multiplier."""
 
     def hashmix(value):
         nonlocal const
         value = value ^ const
-        const = const * _MULT_A & _MASK32
+        const = const * mult & _MASK32
         value = value * const & _MASK32
         return value ^ value >> 16
 
@@ -357,7 +358,7 @@ def seed_keys(master_seed: int, *path) -> np.ndarray:
     columns, lengths = _entropy(components, shape)
     # SeedSequence.mix_entropy: the first words fill the pool (zero past the
     # end), the pool mixes with itself, then each remaining word mixes in
-    hashmix = _hashmix(_INIT_A)
+    hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(columns[i] if i < len(columns) else 0) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
@@ -369,13 +370,9 @@ def seed_keys(master_seed: int, *path) -> np.ndarray:
             mixed = _mix(pool[dst], hashmix(columns[src]))
             pool[dst] = mixed if live is True else np.where(live, mixed, pool[dst])
     # SeedSequence.generate_state(1, np.uint64): two words, low word first
-    const, state = _INIT_B, []
-    for word in pool[:2]:
-        word = word ^ const
-        const = const * _MULT_B & _MASK32
-        word = word * const & _MASK32
-        state.append(word ^ word >> 16)
-    return np.asarray(state[0] | state[1] << 32, dtype=np.uint64).reshape(shape)
+    output = _hashmix(_INIT_B, _MULT_B)
+    low, high = output(pool[0]), output(pool[1])
+    return np.asarray(low | high << 32, dtype=np.uint64).reshape(shape)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
