@@ -275,9 +275,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# The hash below is uint32 arithmetic written so that it runs unchanged on
-# Python ints (one path) and on uint64 arrays (many paths): every product of
-# two words fits in 64 bits, and each result is masked back to 32 bits.
+# The hash below is uint32 arithmetic on uint64 arrays, one element per path:
+# every product of two words fits in 64 bits, and each result is masked back
+# to 32 bits.
 
 
 def _mix(x, y):
@@ -311,12 +311,9 @@ def _entropy(components, shape) -> tuple[list, object]:
     """The concatenated entropy words of every path, one column per word
     position, and the number of words of each path.
 
-    All-scalar components give Python ints; otherwise each column is a
-    uint64 array over the flattened paths, zero past a path's own length.
+    Each column is a uint64 array over the flattened paths (one path for an
+    all-scalar call), zero past a path's own length.
     """
-    if not shape:
-        words = [w for c in components for w in _split(operator.index(c))]
-        return words, len(words)
     count = math.prod(shape)
     parts = []
     for c in components:
@@ -365,10 +362,9 @@ def seed_keys(master_seed: int, *path) -> np.ndarray:
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for src in range(_POOL_SIZE, len(columns)):
-        live = src < lengths  # True for one path; per path for a grid
+        live = src < lengths
         for dst in range(_POOL_SIZE):
-            mixed = _mix(pool[dst], hashmix(columns[src]))
-            pool[dst] = mixed if live is True else np.where(live, mixed, pool[dst])
+            pool[dst] = np.where(live, _mix(pool[dst], hashmix(columns[src])), pool[dst])
     # SeedSequence.generate_state(1, np.uint64): two words, low word first
     output = _hashmix(_INIT_B, _MULT_B)
     low, high = output(pool[0]), output(pool[1])
@@ -420,10 +416,13 @@ def sample_round(
     """Draw one round of measurements: ``hits ~ Binomial(shots, prob_good)``.
 
     Identical arguments reproduce identical outcomes regardless of call
-    order or threading.  Derive per-round seeds with :func:`derive_seed`.
+    order or threading.  Derive per-round seeds with :func:`derive_seed`;
+    ``seed`` must lie in [0, 2**64), the range :func:`derive_seed` returns.
     """
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     p1 = prob_good(method, theta, m, noise, size)
     return RoundOutcome(m=m, shots=shots, hits=int(draw_hits(shots, p1, np.uint64(seed))))
 

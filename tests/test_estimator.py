@@ -20,11 +20,10 @@ from aelab import (
     log_likelihood,
     mle_estimate,
     run_experiment,
-    sample_hits,
     sample_record,
     sample_round,
 )
-from aelab.estimator import _GridLikelihood
+from aelab.estimator import _GridLikelihood, sample_hits
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
 

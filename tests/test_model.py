@@ -168,6 +168,12 @@ class TestSampleRound:
         args = (Method.Q, 0.55, 3, 250, NoiseModel(0.93), SystemSize(10))
         assert sample_round(*args, seed=seed) == sample_round(*args, seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        args = (Method.G, 0.55, 3, 100, NoiseModel(0.93), SystemSize(10))
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            sample_round(*args, seed=seed)
+
     def test_seed_changes_outcome(self):
         args = (Method.G, 0.55, 3, 1000, NoiseModel(0.93), SystemSize(10))
         hits = {sample_round(*args, seed=s).hits for s in range(20)}
