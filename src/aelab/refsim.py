@@ -26,6 +26,7 @@ Conventions (fixed, everything below depends on them):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -467,16 +468,17 @@ def run_equivalence_suite(
         raise ValueError(f"perturbation must lie in [0, 1), got {perturb_r}")
     # local import: model/fisher are the closed-form side of the comparison
     from .fisher import classical_fisher, quantum_fisher
-    from .model import NoiseModel, SystemSize, derive_seed, prob_good
+    from .model import NoiseModel, SystemSize, prob_good, seed_keys
 
+    # derive_seed(master_seed, n, si) of every cell, in one call
+    n_grid = np.array([operator.index(n) for n in n_values], dtype=np.int64)
+    keys = seed_keys(master_seed, n_grid[:, None], np.arange(seeds)).tolist()
     cases = []
-    for n in n_values:
+    for n, n_keys in zip(n_values, keys):
         size = SystemSize(n + 1)  # work register + flag qubit
         d = 2 ** (n + 1)
         for si in range(seeds):
-            rng = np.random.Generator(
-                np.random.Philox(key=derive_seed(master_seed, n, si))
-            )
+            rng = np.random.Generator(np.random.Philox(key=n_keys[si]))
             theta = float(rng.uniform(0.02, math.pi / 2 - 0.02))
             w_seed = int(rng.integers(0, 2**63 - 1))
             factory = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
