@@ -252,12 +252,21 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     n_values = _parse_int_list(str(cfg["n_qubits"]))
     if any(n < 1 or n > 8 for n in n_values):
         raise _UsageError(f"work-register sizes must lie in [1, 8], got {cfg['n_qubits']}")
+    m_values = _parse_int_list(str(cfg["m_values"]))
+    r_values = _parse_float_list(str(cfg["r_values"]))
+    seeds = int(cfg["seeds"])
+    if not (n_values and m_values and r_values) or seeds < 1:
+        # a run of zero cases would verify nothing and still exit 0
+        raise _UsageError(
+            f"the oracle grid is empty (n-qubits {cfg['n_qubits']!r}, m-values {cfg['m_values']!r}, "
+            f"r-values {cfg['r_values']!r}, seeds {seeds}); nothing would be verified"
+        )
     t0 = time.perf_counter()
     report = run_equivalence_suite(
         n_values=n_values,
-        m_values=_parse_int_list(str(cfg["m_values"])),
-        r_values=_parse_float_list(str(cfg["r_values"])),
-        seeds=int(cfg["seeds"]),
+        m_values=m_values,
+        r_values=r_values,
+        seeds=seeds,
         master_seed=int(cfg["seed"]),
         perturb_r=float(cfg["selftest_perturb_r"]),
     )

@@ -10,6 +10,14 @@ differences remain as an independent test route).  None of the closed
 forms in :mod:`aelab.model` / :mod:`aelab.fisher` are used on this path,
 so agreement between the two is a genuine cross-check.
 
+The evolution is array-native over the amplification count, like the
+closed forms: an int ``m`` gives one ``(rho, drho)`` pair, a sequence of
+counts gives stacks from a single evolution to the largest count, with a
+snapshot kept at each requested one.  The equivalence suite therefore
+runs one evolution per (factory, r, method) and takes the spectral QFI of
+its snapshots in one stacked eigendecomposition; every value equals, bit
+for bit, the per-count route.
+
 Conventions (fixed, everything below depends on them):
 
 * ``n`` counts *work* qubits; the flag qubit is appended, so states live in
@@ -36,8 +44,6 @@ from .model import Method, query_count
 
 __all__ = [
     "UnitaryFactory",
-    "ReflectionOps",
-    "reflections",
     "depolarize",
     "evolve",
     "evolve_with_derivative",
@@ -106,14 +112,6 @@ class UnitaryFactory:
         return np.kron(_random_unitary(self.n, self.w_seed), _ry_deriv(2.0 * self.theta))
 
 
-@dataclass(frozen=True)
-class ReflectionOps:
-    """The two reflections: u0 about the all-zeros state, uf about flag 0."""
-
-    u0: np.ndarray
-    uf: np.ndarray
-
-
 def _reflection_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of (u0, uf): both reflections are diagonal with entries +-1."""
     dim = 2 ** (n + 1)
@@ -122,11 +120,6 @@ def _reflection_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     sf = -np.ones(dim)
     sf[0::2] = 1.0  # flag qubit is the LSB
     return s0, sf
-
-
-def reflections(n: int) -> ReflectionOps:
-    s0, sf = _reflection_signs(n)
-    return ReflectionOps(u0=np.diag(s0).astype(complex), uf=np.diag(sf).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -178,8 +171,24 @@ def depolarize(mat: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
+def _amplification_counts(m) -> np.ndarray:
+    """``m`` (an int or a 1-D sequence of ints) as an integer array, each
+    count checked to be an integer in ``[0, MAX_AMPLIFICATIONS]``."""
+    values = [m] if np.ndim(m) == 0 else list(m)
+    for value in values:
+        try:
+            ok = 0 <= operator.index(value) <= MAX_AMPLIFICATIONS
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"amplification counts must be integers in [0, {MAX_AMPLIFICATIONS}], got {value!r}"
+            )
+    return np.array(values, dtype=np.int64).reshape(np.shape(m))
+
+
 def evolve_with_derivative(
-    method: Method, m: int, factory: UnitaryFactory, r: float
+    method: Method, m, factory: UnitaryFactory, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve ``|0><0|`` through the noisy circuit; return (rho, drho/dtheta).
 
@@ -189,18 +198,23 @@ def evolve_with_derivative(
     The derivative is propagated analytically by the product rule: unitaries
     conjugate it, the preparation steps add the ``dA`` cross terms, and the
     (theta-independent, linear) channel just passes through.
+
+    An int ``m`` gives two ``(d, d)`` matrices.  A 1-D sequence of counts
+    (any order, repeats allowed) gives two ``(len(m), d, d)`` stacks from a
+    single evolution to ``max(m)`` that keeps a snapshot at each requested
+    count; every snapshot equals, bit for bit, the int call at that count.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"survival probability r must lie in (0, 1], got {r}")
-    if m < 0:
-        raise ValueError(f"amplification count must be >= 0, got {m}")
-    if m > MAX_AMPLIFICATIONS:
-        raise ValueError(f"amplification count capped at {MAX_AMPLIFICATIONS}, got {m}")
+    counts = _amplification_counts(m)
     prep = _prepared(factory)
     dim = factory.dim
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     drho = np.zeros((dim, dim), dtype=complex)
+    wanted = counts.reshape(-1)
+    rho_at = np.empty((wanted.size, dim, dim), dtype=complex)
+    drho_at = np.empty_like(rho_at)
 
     def query(op, op_h, dop, dop_h):
         nonlocal rho, drho
@@ -209,9 +223,15 @@ def evolve_with_derivative(
         rho = depolarize(rho, r)
         drho = depolarize(drho, r)
 
+    def snapshot(step):
+        hit = wanted == step
+        rho_at[hit] = rho
+        drho_at[hit] = drho
+
     if method is Method.G:
         query(prep.a, prep.a_h, prep.da, prep.da_h)
-    for _ in range(m):
+    snapshot(0)
+    for step in range(1, int(wanted.max(initial=0)) + 1):
         if method is Method.Q:
             query(prep.a, prep.a_h, prep.da, prep.da_h)
         rho = rho * prep.flag_mask
@@ -221,11 +241,13 @@ def evolve_with_derivative(
         drho = drho * prep.zero_mask
         if method is Method.G:
             query(prep.a, prep.a_h, prep.da, prep.da_h)
-    return rho, drho
+        snapshot(step)
+    return rho_at.reshape(counts.shape + (dim, dim)), drho_at.reshape(counts.shape + (dim, dim))
 
 
-def evolve(method: Method, m: int, factory: UnitaryFactory, r: float) -> np.ndarray:
-    """Density matrix after ``m`` noisy amplification steps."""
+def evolve(method: Method, m, factory: UnitaryFactory, r: float) -> np.ndarray:
+    """Density matrix after ``m`` noisy amplification steps (a stack for a
+    sequence of counts, as in :func:`evolve_with_derivative`)."""
     rho, _ = evolve_with_derivative(method, m, factory, r)
     return rho
 
@@ -280,16 +302,22 @@ def rotation_check(factory: UnitaryFactory, m: int) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def _spectral_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float) -> float:
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
+def _spectral_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float):
+    """Spectral QFI of one ``(d, d)`` pair (a float) or of a ``(k, d, d)``
+    stack (an array of ``k``).  The stack shares one Hermitian check, one
+    ``eigh`` and one ``V^H drho V``; each matrix's masked pair sum is taken
+    on its own, so every value equals the one-matrix call bit for bit."""
+    if not np.allclose(rho, rho.conj().swapaxes(-1, -2), atol=1e-10):
         raise ValueError("evolved matrix is not Hermitian")
     lam, vecs = np.linalg.eigh(rho)
-    mat = vecs.conj().T @ drho @ vecs
-    pair_sums = lam[:, None] + lam[None, :]
+    mat = vecs.conj().swapaxes(-1, -2) @ drho @ vecs
+    pair_sums = lam[..., :, None] + lam[..., None, :]
     mask = pair_sums > cutoff
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = 2.0 * np.abs(mat) ** 2 / pair_sums
-    return float(terms[mask].sum())
+    if terms.ndim == 2:
+        return float(terms[mask].sum())
+    return np.array([t[k].sum() for t, k in zip(terms, mask)])
 
 
 def numeric_qfi(
@@ -455,10 +483,14 @@ def run_equivalence_suite(
     outcome probability, spectral quantum Fisher information, rotation
     picture (noiseless cells only) and classical Fisher information are
     checked against their closed-form counterparts, and the quantum Fisher
-    information against the general circuit bound.  Each case is evolved
-    once: both Fisher informations come from the propagated derivative
-    ``drho`` of that evolution.  The closed-form references are evaluated
-    once per (n, seed, r, method) over all of ``m_values``.
+    information against the general circuit bound.  There is one evolution
+    per (factory, r, method): it runs to ``max(m_values)`` and keeps a
+    snapshot at each count, both Fisher informations come from the
+    propagated derivative ``drho`` of that evolution, and the spectral QFI
+    of all its snapshots is taken in one stacked ``eigh``.  The closed-form
+    references are likewise evaluated once per (n, seed, r, method) over
+    all of ``m_values``.  Every count in ``m_values`` is checked before any
+    work to be an integer in ``[0, MAX_AMPLIFICATIONS]``.
 
     ``perturb_r`` shrinks the survival probability used *inside the
     simulator only* by the given relative amount; any nonzero value must
@@ -466,6 +498,7 @@ def run_equivalence_suite(
     """
     if not 0.0 <= perturb_r < 1.0:
         raise ValueError(f"perturbation must lie in [0, 1), got {perturb_r}")
+    _amplification_counts(m_values)
     # local import: model/fisher are the closed-form side of the comparison
     from .fisher import classical_fisher, quantum_fisher
     from .model import NoiseModel, SystemSize, prob_good, seed_keys
@@ -482,29 +515,28 @@ def run_equivalence_suite(
             theta = float(rng.uniform(0.02, math.pi / 2 - 0.02))
             w_seed = int(rng.integers(0, 2**63 - 1))
             factory = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
-            refs = {}  # closed forms over m_values, per (r, method)
+            cells = []  # the cases of each (r, method), one per entry of m_values
             for r in r_values:
                 noise = NoiseModel(r)
                 for method in (Method.G, Method.Q):
                     n_qs = query_count(method, m_values)
                     # zero-query rounds have no reference information; their entries go unused
                     live = np.maximum(n_qs, 1)
-                    refs[r, method] = list(zip(
+                    refs = zip(
                         n_qs.tolist(),
                         prob_good(method, theta, m_values, noise, size).tolist(),
                         quantum_fisher(live, noise, size).tolist(),
                         classical_fisher(method, theta, live, noise, size).tolist(),
-                    ))
-            for mi, m in enumerate(m_values):
-                for r in r_values:
-                    r_sim = r * (1.0 - perturb_r)
-                    for method in (Method.G, Method.Q):
-                        n_q, p_ref, qfi_ref, cfi_ref = refs[r, method][mi]
-                        rho, drho = evolve_with_derivative(method, m, factory, r_sim)
+                    )
+                    rhos, drhos = evolve_with_derivative(method, m_values, factory, r * (1.0 - perturb_r))
+                    qfis = _spectral_qfi(rhos, drhos, cutoff=1e-12).tolist()
+                    cell = []
+                    for m, rho, drho, qfi_num, (n_q, p_ref, qfi_ref, cfi_ref) in zip(
+                        m_values, rhos, drhos, qfis, refs
+                    ):
                         _, p1 = measure_probs(rho, method)
                         prob_dev = abs(p1 - p_ref)
 
-                        qfi_num = _spectral_qfi(rho, drho, cutoff=1e-12)
                         if n_q > 0:
                             qfi_rel = abs(qfi_num - qfi_ref) / qfi_ref
                             bound = theorem_bound(n_q, d, [r] * n_q)
@@ -527,7 +559,7 @@ def run_equivalence_suite(
                             if r_pow * abs(math.sin(2.0 * n_q * theta)) > 1e-3:
                                 cfi_num = propagated_classical_fisher(rho, drho, method)
                                 cfi = abs(cfi_num - cfi_ref) / cfi_ref
-                        cases.append(
+                        cell.append(
                             EquivalenceCase(
                                 method=method,
                                 n=n,
@@ -543,4 +575,7 @@ def run_equivalence_suite(
                                 cfi_rel_dev=cfi,
                             )
                         )
+                    cells.append(cell)
+            # cases run m-major, then r, then method
+            cases.extend(case for row in zip(*cells) for case in row)
     return EquivalenceReport(cases=tuple(cases))

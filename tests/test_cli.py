@@ -200,3 +200,17 @@ class TestOracleVerify:
         assert run_cli(*self.ARGS, "--out", str(a)) == 0
         assert run_cli(*self.ARGS, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--m-values", ""), ("--seeds", "0"), ("--n-qubits", "")])
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys, flag, value):
+        # zero cases verify nothing, so they must not read as a pass
+        out = tmp_path / "v.csv"
+        assert run_cli("oracle-verify", flag, value, "--out", str(out)) == 1
+        assert "grid is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert run_cli("oracle-verify", "--m-values", "-1", "--out", str(out)) == 1
+        assert "got -1" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher
+from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher, refsim
 from aelab.refsim import (
+    MAX_AMPLIFICATIONS,
     UnitaryFactory,
+    _spectral_qfi,
     depolarize,
     evolve,
     evolve_with_derivative,
@@ -15,12 +17,22 @@ from aelab.refsim import (
     numeric_classical_fisher,
     numeric_qfi,
     propagated_classical_fisher,
-    reflections,
     rotation_check,
     run_equivalence_suite,
     theorem_bound,
     validate_density_matrix,
 )
+
+
+def dense_reflections(n):
+    """Dense ``(u0, uf)`` on n work qubits plus the flag (the LSB): ``u0``
+    reflects about the all-zeros state, ``uf`` about flag 0.  The simulator
+    applies both as sign masks; this is the gate-level form they replace."""
+    dim = 2 ** (n + 1)
+    u0 = -np.eye(dim, dtype=complex)
+    u0[0, 0] = 1.0
+    uf = np.diag(np.tile([1.0, -1.0], dim // 2)).astype(complex)
+    return u0, uf
 
 
 @pytest.fixture
@@ -48,12 +60,12 @@ class TestOperators:
         assert np.allclose(da.conj().T @ da, np.eye(factory.dim), atol=1e-12)
 
     def test_reflections_are_involutions(self):
-        ops = reflections(3)
-        for u in (ops.u0, ops.uf):
+        u0, uf = dense_reflections(3)
+        for u in (u0, uf):
             assert np.allclose(u, u.conj().T, atol=1e-12)
             assert np.allclose(u @ u, np.eye(16), atol=1e-12)
-        assert ops.u0[0, 0] == 1.0
-        assert ops.uf[0, 0] == 1.0 and ops.uf[1, 1] == -1.0
+        assert u0[0, 0] == 1.0 and u0[1, 1] == -1.0
+        assert uf[0, 0] == 1.0 and uf[1, 1] == -1.0 and uf[2, 2] == 1.0
 
     def test_factory_guards(self):
         with pytest.raises(ValueError):
@@ -106,13 +118,13 @@ class TestEvolve:
         # bit, the gate-by-gate product rule with dense reflection matrices
         f = UnitaryFactory(n=n, theta=0.41, w_seed=17)
         a, da = f.state_prep(), f.state_prep_deriv()
-        ops = reflections(n)
+        u0, uf = dense_reflections(n)
         prep = [("prep", a, da), ("noise", None, None)]
         step = [
-            ("unitary", ops.uf, None),
+            ("unitary", uf, None),
             ("prep", a.conj().T, da.conj().T),
             ("noise", None, None),
-            ("unitary", ops.u0, None),
+            ("unitary", u0, None),
         ]
         seq = prep + (step + prep) * m if method is Method.G else (prep + step) * m
         rho = np.zeros((f.dim, f.dim), dtype=complex)
@@ -130,11 +142,36 @@ class TestEvolve:
         np.testing.assert_array_equal(got_rho, rho)
         np.testing.assert_array_equal(got_drho, drho)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        n=st.integers(min_value=1, max_value=3),
+        r=st.floats(min_value=0.5, max_value=1.0),
+        theta=st.floats(min_value=0.02, max_value=math.pi / 2 - 0.02),
+        w_seed=st.integers(min_value=0, max_value=2**32),
+        ms=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6),
+    )
+    def test_stack_equals_int_calls(self, method, n, r, theta, w_seed, ms):
+        # one evolution with snapshots does the int calls' arithmetic in
+        # their order, and the stacked QFI sums each matrix on its own
+        f = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
+        rhos, drhos = evolve_with_derivative(method, ms, f, r)
+        assert rhos.shape == drhos.shape == (len(ms), f.dim, f.dim)
+        for m, rho, drho in zip(ms, rhos, drhos):
+            one_rho, one_drho = evolve_with_derivative(method, m, f, r)
+            np.testing.assert_array_equal(rho, one_rho)
+            np.testing.assert_array_equal(drho, one_drho)
+        per_matrix = [_spectral_qfi(rho, drho, 1e-12) for rho, drho in zip(rhos, drhos)]
+        assert _spectral_qfi(rhos, drhos, 1e-12).tolist() == per_matrix
+
     def test_guards(self, factory):
         with pytest.raises(ValueError):
             evolve(Method.G, 65, factory, 1.0)
         with pytest.raises(ValueError):
             evolve(Method.G, 1, factory, 0.0)
+        # a negative count must not index a snapshot from the end
+        with pytest.raises(ValueError, match="got -1"):
+            evolve(Method.Q, [2, -1], factory, 0.9)
 
 
 class TestMeasureProbs:
@@ -289,6 +326,32 @@ class TestEquivalenceSuite:
         assert report.all_passed
         assert report.worst("prob_dev") < 1e-10
         assert report.worst("qfi_rel_dev") < 1e-8
+
+    def test_cases_match_per_case_route(self, monkeypatch):
+        # the suite's stacked route against one int evolution and one
+        # one-matrix QFI per case: every field of every case, bit for bit
+        grid = dict(n_values=(1, 2, 3), m_values=(3, 0, 1, 3, 5), r_values=(1.0, 0.7), seeds=4)
+        stacked = run_equivalence_suite(**grid)
+
+        def per_case_evolution(method, ms, factory, r):
+            pairs = [evolve_with_derivative(method, m, factory, r) for m in ms]
+            return np.array([rho for rho, _ in pairs]), np.array([drho for _, drho in pairs])
+
+        def per_matrix_qfi(rhos, drhos, cutoff):
+            return np.array([_spectral_qfi(rho, drho, cutoff) for rho, drho in zip(rhos, drhos)])
+
+        monkeypatch.setattr(refsim, "evolve_with_derivative", per_case_evolution)
+        monkeypatch.setattr(refsim, "_spectral_qfi", per_matrix_qfi)
+        per_case = run_equivalence_suite(**grid)
+        assert len(stacked.cases) == len(per_case.cases) == 3 * 4 * 5 * 2 * 2
+        for got, want in zip(stacked.cases, per_case.cases):
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("bad", [-1, MAX_AMPLIFICATIONS + 1, 1.5])
+    def test_rejects_bad_counts_up_front(self, bad):
+        # n = 9 has no factory: the count error must come before any work
+        with pytest.raises(ValueError, match=f"amplification counts .* got {bad!r}$"):
+            run_equivalence_suite(n_values=(9,), m_values=(0, bad, 2), seeds=1)
 
     def test_fault_injection_is_detected(self):
         report = run_equivalence_suite(
