@@ -2,20 +2,16 @@
 
 from .model import (
     INFINITE,
-    EstimationProblem,
     Method,
     NoiseModel,
     RoundOutcome,
     Schedule,
     SystemSize,
     breakeven_qubits,
-    derive_seed,
     prob_good,
-    prob_pair,
     prob_terms,
     query_count,
     readout_factor,
-    sample_round,
 )
 from .fisher import (
     CURVE_KINDS,
@@ -25,7 +21,6 @@ from .fisher import (
     curve,
     envelope_peak,
     quantum_fisher,
-    theta_sweep_max,
 )
 from .estimator import (
     CrbCurves,
@@ -46,20 +41,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INFINITE",
-    "EstimationProblem",
     "Method",
     "NoiseModel",
     "RoundOutcome",
     "Schedule",
     "SystemSize",
     "breakeven_qubits",
-    "derive_seed",
     "prob_good",
-    "prob_pair",
     "prob_terms",
     "query_count",
     "readout_factor",
-    "sample_round",
     "CURVE_KINDS",
     "FisherCurve",
     "classical_fisher",
@@ -67,7 +58,6 @@ __all__ = [
     "curve",
     "envelope_peak",
     "quantum_fisher",
-    "theta_sweep_max",
     "CrbCurves",
     "ExperimentConfig",
     "MeasurementRecord",

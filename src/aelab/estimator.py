@@ -322,11 +322,6 @@ class _GridLikelihood:
             est[b] = self._refine(centers[b], hits[rec] * upto, misses[rec] * upto)
         return self._fold(est.reshape(records, rounds))
 
-    def prefix_estimates(self, outcomes) -> np.ndarray:
-        """Maximum-likelihood angle for every prefix of one outcome list."""
-        hits, misses = _counts(outcomes)
-        return self.fit_prefixes(hits[None], misses[None])[0]
-
     def estimate(self, hits: np.ndarray, misses: np.ndarray) -> float:
         """Maximum-likelihood angle of one record, from its full set of rounds only."""
         center = self.theta[self._scan(hits, misses, prefixes=False)]

@@ -41,7 +41,6 @@ __all__ = [
     "classical_fisher_envelope",
     "quantum_fisher",
     "envelope_peak",
-    "theta_sweep_max",
     "FisherCurve",
     "curve",
     "CURVE_KINDS",
@@ -163,20 +162,6 @@ def envelope_peak(
         return classical_fisher_envelope(Method.Q, n_q, noise, size)
 
     return golden_max(f, 1e-9, -10.0 / log_r, xtol=1e-6)
-
-
-def theta_sweep_max(
-    method: Method,
-    n_q: float,
-    noise: NoiseModel,
-    size: SystemSize = INFINITE,
-    grid_points: int = 100_000,
-) -> float:
-    """Maximum of :func:`classical_fisher` over a dense interior theta grid,
-    used to confirm numerically that the envelope is attained (it is
-    theta-independent but tight)."""
-    theta = np.linspace(0.0, math.pi / 2, grid_points + 2)[1:-1]
-    return float(classical_fisher(method, theta, n_q, noise, size).max())
 
 
 CURVE_KINDS = ("classical", "classical-envelope", "quantum", "noiseless", "no-amplification")

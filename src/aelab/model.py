@@ -51,7 +51,6 @@ import numpy as np
 
 __all__ = [
     "Method",
-    "EstimationProblem",
     "NoiseModel",
     "SystemSize",
     "INFINITE",
@@ -59,7 +58,6 @@ __all__ = [
     "RoundOutcome",
     "query_count",
     "prob_good",
-    "prob_pair",
     "prob_terms",
     "sample_round",
     "readout_factor",
@@ -78,37 +76,12 @@ class Method(Enum):
 
 
 @dataclass(frozen=True)
-class EstimationProblem:
-    """The unknown rotation angle ``theta`` and target amplitude ``a = sin^2(theta)``.
-
-    ``theta`` must lie strictly inside ``(0, pi/2)``; the endpoints make the
-    amplitude trivially 0 or 1 and degenerate every information measure, so
-    they are rejected rather than special-cased.
-    """
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        _check_theta(self.theta)
-
-    @property
-    def a(self) -> float:
-        """Target amplitude ``sin^2(theta)``."""
-        return math.sin(self.theta) ** 2
-
-    @classmethod
-    def from_amplitude(cls, a: float) -> "EstimationProblem":
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"amplitude must lie in (0, 1), got {a}")
-        return cls(math.asin(math.sqrt(a)))
-
-
-@dataclass(frozen=True)
 class NoiseModel:
-    """Depolarizing survival probability ``r`` per query.
+    """Depolarizing survival probability ``r`` per query, in ``(0, 1]``.
 
     ``r = 1`` is the noiseless limit.  Readout error is not part of the
-    sampled model; its analytic penalty is :func:`readout_factor`.
+    sampled model: its analytic penalty is :func:`readout_factor`, and
+    :func:`breakeven_qubits` solves ``readout_factor(n, eps) = 1/2`` for ``n``.
     """
 
     r: float
@@ -116,10 +89,6 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"survival probability r must lie in (0, 1], got {self.r}")
-
-    @property
-    def noiseless(self) -> bool:
-        return self.r == 1.0
 
 
 @dataclass(frozen=True)
@@ -129,8 +98,8 @@ class SystemSize:
     The channel mixes toward ``I/d`` with ``d = 2**n``; only ``inv_d = 2**-n``
     is materialized, so e.g. ``n = 100`` stays exactly representable
     (``inv_d ~ 7.9e-31``) and ``n`` beyond ~1074 underflows gracefully to 0.
-    Use :meth:`infinite` (or the module constant ``INFINITE``) for the
-    ``d -> infinity`` limit, where ``inv_d == 0`` exactly.
+    The module constant ``INFINITE`` is the ``d -> infinity`` limit, where
+    ``inv_d == 0`` exactly.
     """
 
     n: int | float
@@ -148,10 +117,6 @@ class SystemSize:
     @property
     def inv_d(self) -> float:
         return 0.0 if self.is_infinite else 2.0 ** (-self.n)
-
-    @classmethod
-    def infinite(cls) -> "SystemSize":
-        return cls(math.inf)
 
 
 INFINITE = SystemSize(math.inf)
@@ -176,9 +141,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.rounds)
-
-    def total_queries(self, method: Method) -> int:
-        return sum(shots * query_count(method, m) for m, shots in self.rounds)
 
 
 @dataclass(frozen=True)
@@ -260,12 +222,6 @@ def prob_good(
     _check_theta(theta)
     n_q, r_pow, floor = prob_terms(method, m, noise, size)
     return _scalar_or_array(hit_probability(n_q * np.asarray(theta), r_pow, floor))
-
-
-def prob_pair(method: Method, theta, m, noise: NoiseModel, size: SystemSize = INFINITE):
-    """Both outcome probabilities ``(p0, p1)`` with ``p0 + p1 == 1`` exactly."""
-    p1 = prob_good(method, theta, m, noise, size)
-    return 1.0 - p1, p1
 
 
 # numpy.random.SeedSequence's hash constants (pool of four uint32 words)
@@ -434,6 +390,7 @@ def readout_factor(n: int, eps: float) -> float:
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"readout error must lie in [0, 1), got {eps}")
     return (1.0 - eps) ** n
+
 
 def breakeven_qubits(eps: float) -> float:
     """Register size at which the readout penalty halves the information.

@@ -2,11 +2,12 @@
 
 Everything here is explicit linear algebra on ``2**(n+1)``-dimensional
 complex matrices: a concrete preparation unitary is built, the two
-amplification operators are applied gate by gate with the depolarizing
-channel inserted after every preparation query, and probabilities and
-Fisher information are extracted directly from the evolved matrix and its
-theta-derivative, which is propagated analytically alongside it (finite
-differences remain as an independent test route).  None of the closed
+amplification operators are applied step by step (the reflections as sign
+masks) with the depolarizing channel inserted after every preparation
+query, and probabilities and Fisher information are extracted directly
+from the evolved matrix and its theta-derivative, which is propagated
+analytically alongside it (:func:`numeric_classical_fisher` takes finite
+differences instead, as the independent test route).  None of the closed
 forms in :mod:`aelab.model` / :mod:`aelab.fisher` are used on this path,
 so agreement between the two is a genuine cross-check.
 
@@ -16,7 +17,9 @@ counts gives stacks from a single evolution to the largest count, with a
 snapshot kept at each requested one.  The equivalence suite therefore
 runs one evolution per (factory, r, method) and takes the spectral QFI of
 its snapshots in one stacked eigendecomposition; every value equals, bit
-for bit, the per-count route.
+for bit, the per-count route.  The spectral QFI takes stacks only; one
+count's value is that of a stack of one, ``evolve_with_derivative(method,
+[m], factory, r)``.
 
 Conventions (fixed, everything below depends on them):
 
@@ -48,9 +51,7 @@ __all__ = [
     "evolve",
     "evolve_with_derivative",
     "measure_probs",
-    "validate_density_matrix",
     "rotation_check",
-    "numeric_qfi",
     "propagated_classical_fisher",
     "numeric_classical_fisher",
     "theorem_bound",
@@ -218,8 +219,9 @@ def evolve_with_derivative(
 
     def query(op, op_h, dop, dop_h):
         nonlocal rho, drho
-        drho = op @ drho @ op_h + dop @ rho @ op_h + op @ rho @ dop_h
-        rho = op @ rho @ op_h
+        op_rho = op @ rho
+        drho = op @ drho @ op_h + dop @ rho @ op_h + op_rho @ dop_h
+        rho = op_rho @ op_h
         rho = depolarize(rho, r)
         drho = depolarize(drho, r)
 
@@ -268,26 +270,13 @@ def measure_probs(rho: np.ndarray, method: Method) -> tuple[float, float]:
     return p0, p1
 
 
-def validate_density_matrix(rho: np.ndarray, atol: float = 1e-12) -> None:
-    """Raise unless rho is Hermitian, unit-trace and positive semidefinite."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if not np.allclose(rho, rho.conj().T, atol=atol):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
-        raise ValueError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
 def rotation_check(factory: UnitaryFactory, m: int) -> float:
     """Deviation of the noiseless modified-operator power from a plane rotation.
 
     Builds ``|phi> = (Q - cos(2*theta)) |0> / sin(2*theta)`` and returns
     ``|| Q^m |0> - cos(2m*theta)|0> - sin(2m*theta)|phi> ||``.
     """
-    if m < 0 or m > MAX_AMPLIFICATIONS:
-        raise ValueError(f"amplification count must lie in [0, {MAX_AMPLIFICATIONS}], got {m}")
+    m = operator.index(_amplification_counts(m))
     s2t = math.sin(2.0 * factory.theta)
     if s2t == 0.0:
         raise ValueError("rotation picture undefined where sin(2*theta) = 0")
@@ -302,11 +291,18 @@ def rotation_check(factory: UnitaryFactory, m: int) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def _spectral_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float):
-    """Spectral QFI of one ``(d, d)`` pair (a float) or of a ``(k, d, d)``
-    stack (an array of ``k``).  The stack shares one Hermitian check, one
-    ``eigh`` and one ``V^H drho V``; each matrix's masked pair sum is taken
-    on its own, so every value equals the one-matrix call bit for bit."""
+def _spectral_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float) -> np.ndarray:
+    """Quantum Fisher information of each matrix of a ``(k, d, d)`` stack,
+    from the spectral SLD formula.
+
+    Eigendecomposes each evolved matrix and sums
+    ``2 |<i|drho|j>|^2 / (lambda_i + lambda_j)`` over ordered pairs with
+    ``lambda_i + lambda_j > cutoff``.  For ``r < 1`` the spectrum is bounded
+    below by ``(1-r**n_q)/d``, so the cutoff only ever trims the pure case.
+    The stack shares one Hermitian check, one ``eigh`` and one
+    ``V^H drho V``; each matrix's masked pair sum is taken on its own, so a
+    value does not depend on the other matrices of the stack.
+    """
     if not np.allclose(rho, rho.conj().swapaxes(-1, -2), atol=1e-10):
         raise ValueError("evolved matrix is not Hermitian")
     lam, vecs = np.linalg.eigh(rho)
@@ -315,23 +311,7 @@ def _spectral_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float):
     mask = pair_sums > cutoff
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = 2.0 * np.abs(mat) ** 2 / pair_sums
-    if terms.ndim == 2:
-        return float(terms[mask].sum())
     return np.array([t[k].sum() for t, k in zip(terms, mask)])
-
-
-def numeric_qfi(
-    method: Method, m: int, factory: UnitaryFactory, r: float, cutoff: float = 1e-12
-) -> float:
-    """Quantum Fisher information from the spectral SLD formula.
-
-    Eigendecomposes the evolved matrix and sums
-    ``2 |<i|drho|j>|^2 / (lambda_i + lambda_j)`` over ordered pairs with
-    ``lambda_i + lambda_j > cutoff``.  For ``r < 1`` the spectrum is bounded
-    below by ``(1-r**n_q)/d``, so the cutoff only ever trims the pure case.
-    """
-    rho, drho = evolve_with_derivative(method, m, factory, r)
-    return _spectral_qfi(rho, drho, cutoff)
 
 
 def _check_nondegenerate(p: np.ndarray) -> None:

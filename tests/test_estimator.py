@@ -16,14 +16,13 @@ from aelab import (
     SystemSize,
     build_eis_schedule,
     crb_curves,
-    derive_seed,
     log_likelihood,
     mle_estimate,
     run_experiment,
     sample_record,
-    sample_round,
 )
-from aelab.estimator import _GridLikelihood, sample_hits
+from aelab.estimator import _GridLikelihood, _counts, sample_hits
+from aelab.model import derive_seed, sample_round
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
 
@@ -162,7 +161,13 @@ class TestMle:
         for side in (est - 1e-6, est + 1e-6):
             if 0.0 < side < math.pi / 2:
                 assert log_likelihood(rec, side, noise, size) <= here + 1e-12 * abs(here)
-        prefix = _GridLikelihood(method, sched, noise, size).prefix_estimates(rec.outcomes)
+        if method is Method.Q:
+            # the fold maps onto a mirror maximum of equal likelihood; the
+            # absolute term covers a log-likelihood of exactly 0
+            mirror = log_likelihood(rec, math.pi / 2 - est, noise, size)
+            assert mirror == pytest.approx(here, rel=1e-12, abs=1e-15)
+        hits, misses = _counts(rec.outcomes)
+        prefix = _GridLikelihood(method, sched, noise, size).fit_prefixes(hits[None], misses[None])[0]
         assert est == pytest.approx(prefix[-1], abs=1e-11)
 
     def test_grid_follows_the_largest_query_count(self):
@@ -231,7 +236,8 @@ class TestRunExperiment:
         theta = math.asin(math.sqrt(1 / 6))
         rec = sample_record(method, theta, sched, cfg.noise, cfg.size, cfg.master_seed, 0, ti, rep)
         grid = _GridLikelihood(method, sched, cfg.noise, cfg.size)
-        prefix_ests = grid.prefix_estimates(rec.outcomes)
+        hits, misses = _counts(rec.outcomes)
+        prefix_ests = grid.fit_prefixes(hits[None], misses[None])[0]
         for k in (0, 3, 6):
             short = MeasurementRecord(method, rec.outcomes[: k + 1])
             assert prefix_ests[k] == pytest.approx(

@@ -15,12 +15,10 @@ from aelab.refsim import (
     evolve_with_derivative,
     measure_probs,
     numeric_classical_fisher,
-    numeric_qfi,
     propagated_classical_fisher,
     rotation_check,
     run_equivalence_suite,
     theorem_bound,
-    validate_density_matrix,
 )
 
 
@@ -33,6 +31,23 @@ def dense_reflections(n):
     u0[0, 0] = 1.0
     uf = np.diag(np.tile([1.0, -1.0], dim // 2)).astype(complex)
     return u0, uf
+
+
+def validate_density_matrix(rho, atol=1e-12):
+    """Raise unless rho is Hermitian, unit-trace and positive semidefinite."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    if not np.allclose(rho, rho.conj().T, atol=atol):
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
+        raise ValueError("density matrix trace is not 1")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def spectral_qfi(method, m, factory, r):
+    """The suite's spectral QFI of the state after ``m`` steps: a stack of one."""
+    return _spectral_qfi(*evolve_with_derivative(method, [m], factory, r), 1e-12)[0]
 
 
 @pytest.fixture
@@ -161,7 +176,7 @@ class TestEvolve:
             one_rho, one_drho = evolve_with_derivative(method, m, f, r)
             np.testing.assert_array_equal(rho, one_rho)
             np.testing.assert_array_equal(drho, one_drho)
-        per_matrix = [_spectral_qfi(rho, drho, 1e-12) for rho, drho in zip(rhos, drhos)]
+        per_matrix = [_spectral_qfi(rho[None], drho[None], 1e-12)[0] for rho, drho in zip(rhos, drhos)]
         assert _spectral_qfi(rhos, drhos, 1e-12).tolist() == per_matrix
 
     def test_guards(self, factory):
@@ -206,6 +221,13 @@ class TestRotation:
         for m in (1, 2, 5):
             assert rotation_check(f, m) < 1e-10
 
+    @pytest.mark.parametrize("bad", [-1, MAX_AMPLIFICATIONS + 1, 1.5])
+    def test_rejects_bad_counts(self, bad):
+        # the same count check, and the same error, as the evolution
+        f = UnitaryFactory(n=2, theta=math.pi / 8, w_seed=5)
+        with pytest.raises(ValueError, match=f"amplification counts .* got {bad!r}$"):
+            rotation_check(f, bad)
+
     def test_two_steps_reach_orthogonal(self):
         # 4 * pi/8 = pi/2: the rotated state leaves the all-zeros axis entirely
         f = UnitaryFactory(n=2, theta=math.pi / 8, w_seed=5)
@@ -216,11 +238,11 @@ class TestRotation:
 
 class TestNumericQfi:
     def test_noiseless_value(self, factory):
-        assert numeric_qfi(Method.G, 1, factory, 1.0) == pytest.approx(36.0, rel=1e-10)
+        assert spectral_qfi(Method.G, 1, factory, 1.0) == pytest.approx(36.0, rel=1e-10)
 
     def test_noisy_value(self):
         f = UnitaryFactory(n=2, theta=math.pi / 8, w_seed=5)
-        val = numeric_qfi(Method.Q, 1, f, 0.9)
+        val = spectral_qfi(Method.Q, 1, f, 0.9)
         ref = quantum_fisher(2, NoiseModel(0.9), SystemSize(3))
         assert ref == pytest.approx(12.242099125364433, rel=1e-12)
         assert val == pytest.approx(ref, rel=1e-8)
@@ -231,7 +253,7 @@ class TestNumericQfi:
         size = SystemSize(3)
         for m, method in ((1, Method.G), (2, Method.Q)):
             n_q = 2 * m + 1 if method is Method.G else 2 * m
-            val = numeric_qfi(method, m, factory, 0.85)
+            val = spectral_qfi(method, m, factory, 0.85)
             assert val == pytest.approx(quantum_fisher(n_q, NoiseModel(0.85), size), rel=1e-8)
 
 
@@ -305,7 +327,7 @@ class TestTheoremBound:
 
     def test_circuit_respects_bound(self):
         f = UnitaryFactory(n=3, theta=0.44, w_seed=3)
-        val = numeric_qfi(Method.G, 2, f, 0.95)
+        val = spectral_qfi(Method.G, 2, f, 0.95)
         bound = theorem_bound(5, 16, [0.95] * 5)
         assert val <= bound * (1 + 1e-9)
         assert val == pytest.approx(bound, rel=1e-8)  # attained by this circuit
@@ -329,7 +351,7 @@ class TestEquivalenceSuite:
 
     def test_cases_match_per_case_route(self, monkeypatch):
         # the suite's stacked route against one int evolution and one
-        # one-matrix QFI per case: every field of every case, bit for bit
+        # stack-of-one QFI per case: every field of every case, bit for bit
         grid = dict(n_values=(1, 2, 3), m_values=(3, 0, 1, 3, 5), r_values=(1.0, 0.7), seeds=4)
         stacked = run_equivalence_suite(**grid)
 
@@ -338,7 +360,7 @@ class TestEquivalenceSuite:
             return np.array([rho for rho, _ in pairs]), np.array([drho for _, drho in pairs])
 
         def per_matrix_qfi(rhos, drhos, cutoff):
-            return np.array([_spectral_qfi(rho, drho, cutoff) for rho, drho in zip(rhos, drhos)])
+            return np.array([_spectral_qfi(rho[None], drho[None], cutoff)[0] for rho, drho in zip(rhos, drhos)])
 
         monkeypatch.setattr(refsim, "evolve_with_derivative", per_case_evolution)
         monkeypatch.setattr(refsim, "_spectral_qfi", per_matrix_qfi)
