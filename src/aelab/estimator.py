@@ -30,7 +30,7 @@ deterministically by always reporting the smaller angle, so targets with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -446,20 +446,8 @@ class RmseTable:
         return [r for r in out if a is None or math.isclose(r.a, a)]
 
     def as_dicts(self) -> list[dict]:
-        return [
-            {
-                "method": row.method.value,
-                "a": row.a,
-                "prefix": row.prefix,
-                "n_q_tot": row.n_q_tot,
-                "rmse": row.rmse,
-                "crb_classical": row.crb_classical,
-                "crb_quantum": row.crb_quantum,
-                "crb_noiseless": row.crb_noiseless,
-                "crb_no_amplification": row.crb_no_amplification,
-            }
-            for row in self.rows
-        ]
+        names = [f.name for f in fields(RmseRow)]
+        return [{**{k: getattr(row, k) for k in names}, "method": row.method.value} for row in self.rows]
 
 
 # method tags get fixed seed-path codes so that restricting the method list

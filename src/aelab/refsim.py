@@ -11,13 +11,18 @@ differences instead, as the independent test route).  None of the closed
 forms in :mod:`aelab.model` / :mod:`aelab.fisher` are used on this path,
 so agreement between the two is a genuine cross-check.
 
-The evolution is array-native over the amplification count, like the
+The simulator is array-native over the amplification count, like the
 closed forms: an int ``m`` gives one ``(rho, drho)`` pair, a sequence of
 counts gives stacks from a single evolution to the largest count, with a
-snapshot kept at each requested one.  The equivalence suite therefore
-runs one evolution per (factory, r, method) and takes the spectral QFI of
-its snapshots in one stacked eigendecomposition; every value equals, bit
-for bit, the per-count route.  The spectral QFI takes stacks only; one
+snapshot kept at each requested one.  The read-outs follow the same
+contract: :func:`measure_probs` and :func:`propagated_classical_fisher`
+take ``(..., d, d)`` stacks, :func:`theorem_bound` an array of query
+counts and :func:`rotation_check` a sequence of counts, and each gives an
+array back, or a Python float for one matrix or count.  The equivalence
+suite therefore runs one evolution per (factory, r, method), takes the
+spectral QFI of its snapshots in one stacked eigendecomposition and reads
+every other column off the stacks in one call each; every value equals,
+bit for bit, the per-count route.  The spectral QFI takes stacks only; one
 count's value is that of a stack of one, ``evolve_with_derivative(method,
 [m], factory, r)``.
 
@@ -43,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Method, query_count
+from .model import Method, _scalar_or_array, query_count
 
 __all__ = [
     "UnitaryFactory",
@@ -254,29 +259,34 @@ def evolve(method: Method, m, factory: UnitaryFactory, r: float) -> np.ndarray:
     return rho
 
 
-def measure_probs(rho: np.ndarray, method: Method) -> tuple[float, float]:
+def measure_probs(rho: np.ndarray, method: Method):
     """Outcome probabilities ``(p0, p1)`` of the method's measurement.
 
     G reads the flag qubit (p0 sums the even-index diagonal); Q projects on
-    the all-zeros state (p0 is the top-left entry).
+    the all-zeros state (p0 is the top-left entry).  A ``(..., d, d)`` stack
+    gives two arrays over its leading axes, each entry equal, bit for bit,
+    to the call on that matrix alone; one ``(d, d)`` matrix gives two floats.
     """
-    diag = np.real(np.diag(rho))
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
     if method is Method.G:
-        p0 = float(diag[0::2].sum())
-        p1 = float(diag[1::2].sum())
+        p0 = diag[..., 0::2].sum(-1)
+        p1 = diag[..., 1::2].sum(-1)
     else:
-        p0 = float(diag[0])
-        p1 = float(diag.sum() - diag[0])
-    return p0, p1
+        p0 = diag[..., 0]
+        p1 = diag.sum(-1) - diag[..., 0]
+    return _scalar_or_array(p0), _scalar_or_array(p1)
 
 
-def rotation_check(factory: UnitaryFactory, m: int) -> float:
+def rotation_check(factory: UnitaryFactory, m):
     """Deviation of the noiseless modified-operator power from a plane rotation.
 
     Builds ``|phi> = (Q - cos(2*theta)) |0> / sin(2*theta)`` and returns
-    ``|| Q^m |0> - cos(2m*theta)|0> - sin(2m*theta)|phi> ||``.
+    ``|| Q^m |0> - cos(2m*theta)|0> - sin(2m*theta)|phi> ||``.  Like
+    :func:`evolve_with_derivative` it takes an int (a float back) or a 1-D
+    sequence of counts (an array back); ``Q`` and ``|phi>`` are built once
+    and each count takes its own matrix power.
     """
-    m = operator.index(_amplification_counts(m))
+    counts = _amplification_counts(m)
     s2t = math.sin(2.0 * factory.theta)
     if s2t == 0.0:
         raise ValueError("rotation picture undefined where sin(2*theta) = 0")
@@ -286,9 +296,14 @@ def rotation_check(factory: UnitaryFactory, m: int) -> float:
     e0 = np.zeros(factory.dim, dtype=complex)
     e0[0] = 1.0
     phi = (q @ e0 - math.cos(2.0 * factory.theta) * e0) / s2t
-    lhs = np.linalg.matrix_power(q, m) @ e0
-    rhs = math.cos(2.0 * m * factory.theta) * e0 + math.sin(2.0 * m * factory.theta) * phi
-    return float(np.linalg.norm(lhs - rhs))
+
+    def deviation(k: int) -> float:
+        lhs = np.linalg.matrix_power(q, k) @ e0
+        rhs = math.cos(2.0 * k * factory.theta) * e0 + math.sin(2.0 * k * factory.theta) * phi
+        return float(np.linalg.norm(lhs - rhs))
+
+    devs = np.array([deviation(k) for k in counts.reshape(-1).tolist()])
+    return _scalar_or_array(devs.reshape(counts.shape))
 
 
 def _spectral_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float) -> np.ndarray:
@@ -318,21 +333,23 @@ def _check_nondegenerate(p: np.ndarray) -> None:
     # pinned probabilities (reachable only at r = 1) make the quotient
     # meaningless; the simulator lands within rounding of the pin, so the
     # guard is a tolerance, not an exact comparison
-    if min(p) <= 1e-12 or max(p) >= 1.0 - 1e-12:
-        raise ValueError(f"degenerate outcome probabilities {tuple(p)}; Fisher information undefined here")
+    if p.min() <= 1e-12 or p.max() >= 1.0 - 1e-12:
+        raise ValueError(f"degenerate outcome probabilities {p.tolist()}; Fisher information undefined here")
 
 
-def propagated_classical_fisher(rho: np.ndarray, drho: np.ndarray, method: Method) -> float:
+def propagated_classical_fisher(rho: np.ndarray, drho: np.ndarray, method: Method):
     """Classical Fisher information of the method's measurement from ``(rho, drho)``.
 
     The outcome probabilities are linear in the state, so their
     theta-derivatives are ``measure_probs(drho)``; the information is
-    ``sum(dp**2 / p)``.  Degenerate probabilities (0 or 1) are rejected.
+    ``sum(dp**2 / p)``.  ``(..., d, d)`` stacks give an array, one matrix
+    pair a float, as in :func:`measure_probs`.  Degenerate probabilities
+    (0 or 1) anywhere in the stack are rejected.
     """
     p = np.array(measure_probs(rho, method))
     _check_nondegenerate(p)
     dp = np.array(measure_probs(drho, method))
-    return float(np.sum(dp**2 / p))
+    return _scalar_or_array(np.sum(dp**2 / p, axis=0))
 
 
 def numeric_classical_fisher(
@@ -360,25 +377,26 @@ def numeric_classical_fisher(
     return float(np.sum(dp**2 / p))
 
 
-def theorem_bound(n_ops: int, d: int, r_list) -> float:
+def theorem_bound(n_ops, d: int, r: float):
     """Upper bound on the quantum Fisher information of any n_ops-query circuit.
 
-    With cumulative survival ``rt = prod(r_i)`` the bound is
+    With cumulative survival ``rt = r**n_ops`` the bound is
     ``4 n_ops^2 rt^2 / (2/d + (1 - 2/d) rt)``, which reduces to
-    ``4 n_ops^2`` when every ``r_i`` is 1.
+    ``4 n_ops^2`` at ``r = 1``.  ``rt`` is the running product of the
+    per-query survivals, taken in query order.  ``n_ops`` may be an int (a
+    float back) or an integer array (an array back).
     """
-    if n_ops < 1:
-        raise ValueError(f"query count must be >= 1, got {n_ops}")
+    n_ops = np.asarray(n_ops)
+    if n_ops.dtype.kind not in "iu" or np.any(n_ops < 1):
+        raise ValueError(f"query counts must be integers >= 1, got {n_ops.tolist()}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    rt = 1.0
-    for ri in r_list:
-        if not 0.0 < ri <= 1.0:
-            raise ValueError(f"survival probabilities must lie in (0, 1], got {ri}")
-        rt *= ri
-    if rt == 1.0:
-        return 4.0 * n_ops * n_ops
-    return 4.0 * n_ops * n_ops * rt * rt / (2.0 / d + (1.0 - 2.0 / d) * rt)
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"survival probability r must lie in (0, 1], got {r}")
+    if r == 1.0:
+        return _scalar_or_array(4.0 * n_ops * n_ops)
+    rt = np.cumprod(np.full(n_ops.max(initial=0), r))[n_ops - 1]
+    return _scalar_or_array(4.0 * n_ops * n_ops * rt * rt / (2.0 / d + (1.0 - 2.0 / d) * rt))
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +485,13 @@ def run_equivalence_suite(
     per (factory, r, method): it runs to ``max(m_values)`` and keeps a
     snapshot at each count, both Fisher informations come from the
     propagated derivative ``drho`` of that evolution, and the spectral QFI
-    of all its snapshots is taken in one stacked ``eigh``.  The closed-form
-    references are likewise evaluated once per (n, seed, r, method) over
-    all of ``m_values``.  Every count in ``m_values`` is checked before any
-    work to be an integer in ``[0, MAX_AMPLIFICATIONS]``.
+    of all its snapshots is taken in one stacked ``eigh``.  Every column of
+    an evolution's cases is then one call or expression over all of
+    ``m_values``: the read-outs take the snapshot stacks whole, and the
+    closed-form references are evaluated over the same counts.  The whole
+    grid is checked before any work: every count must be an integer in
+    ``[0, MAX_AMPLIFICATIONS]`` (checked first), every register size in
+    ``[1, MAX_WORK_QUBITS]`` and every survival probability in ``(0, 1]``.
 
     ``perturb_r`` shrinks the survival probability used *inside the
     simulator only* by the given relative amount; any nonzero value must
@@ -479,12 +500,15 @@ def run_equivalence_suite(
     if not 0.0 <= perturb_r < 1.0:
         raise ValueError(f"perturbation must lie in [0, 1), got {perturb_r}")
     _amplification_counts(m_values)
+    n_grid = np.array([operator.index(n) for n in n_values], dtype=np.int64)
+    if np.any((n_grid < 1) | (n_grid > MAX_WORK_QUBITS)):
+        raise ValueError(f"work-register sizes must lie in [1, {MAX_WORK_QUBITS}], got {list(n_values)}")
     # local import: model/fisher are the closed-form side of the comparison
     from .fisher import classical_fisher, quantum_fisher
     from .model import NoiseModel, SystemSize, prob_good, seed_keys
 
+    noises = [NoiseModel(r) for r in r_values]
     # derive_seed(master_seed, n, si) of every cell, in one call
-    n_grid = np.array([operator.index(n) for n in n_values], dtype=np.int64)
     keys = seed_keys(master_seed, n_grid[:, None], np.arange(seeds)).tolist()
     cases = []
     for n, n_keys in zip(n_values, keys):
@@ -496,66 +520,41 @@ def run_equivalence_suite(
             w_seed = int(rng.integers(0, 2**63 - 1))
             factory = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
             cells = []  # the cases of each (r, method), one per entry of m_values
-            for r in r_values:
-                noise = NoiseModel(r)
+            for r, noise in zip(r_values, noises):
                 for method in (Method.G, Method.Q):
                     n_qs = query_count(method, m_values)
-                    # zero-query rounds have no reference information; their entries go unused
+                    # zero-query rounds have no reference information or bound;
+                    # their entries are computed at one query and go unused
+                    queried = n_qs > 0
                     live = np.maximum(n_qs, 1)
-                    refs = zip(
-                        n_qs.tolist(),
-                        prob_good(method, theta, m_values, noise, size).tolist(),
-                        quantum_fisher(live, noise, size).tolist(),
-                        classical_fisher(method, theta, live, noise, size).tolist(),
-                    )
                     rhos, drhos = evolve_with_derivative(method, m_values, factory, r * (1.0 - perturb_r))
-                    qfis = _spectral_qfi(rhos, drhos, cutoff=1e-12).tolist()
-                    cell = []
-                    for m, rho, drho, qfi_num, (n_q, p_ref, qfi_ref, cfi_ref) in zip(
-                        m_values, rhos, drhos, qfis, refs
-                    ):
-                        _, p1 = measure_probs(rho, method)
-                        prob_dev = abs(p1 - p_ref)
-
-                        if n_q > 0:
-                            qfi_rel = abs(qfi_num - qfi_ref) / qfi_ref
-                            bound = theorem_bound(n_q, d, [r] * n_q)
-                            excess = max(0.0, (qfi_num - bound) / bound)
-                            bound_gap = abs(qfi_num - bound) / bound
-                        else:
-                            qfi_rel = abs(qfi_num)
-                            excess = max(0.0, qfi_num)
-                            bound_gap = None
-
-                        rot = None
-                        if r == 1.0 and method is Method.Q:
-                            rot = rotation_check(factory, m)
-
-                        cfi = None
-                        if n_q > 0:
-                            r_pow = r**n_q
-                            # the relative deviation is ill-conditioned where
-                            # the probability derivative nearly vanishes
-                            if r_pow * abs(math.sin(2.0 * n_q * theta)) > 1e-3:
-                                cfi_num = propagated_classical_fisher(rho, drho, method)
-                                cfi = abs(cfi_num - cfi_ref) / cfi_ref
-                        cell.append(
-                            EquivalenceCase(
-                                method=method,
-                                n=n,
-                                m=m,
-                                r=r,
-                                theta=theta,
-                                w_seed=w_seed,
-                                prob_dev=prob_dev,
-                                qfi_rel_dev=qfi_rel,
-                                bound_excess=excess,
-                                bound_rel_gap=bound_gap,
-                                rotation_dev=rot,
-                                cfi_rel_dev=cfi,
-                            )
-                        )
-                    cells.append(cell)
+                    qfis = _spectral_qfi(rhos, drhos, cutoff=1e-12)
+                    qfi_refs = quantum_fisher(live, noise, size)
+                    bounds = theorem_bound(live, d, r)
+                    prob_dev = np.abs(measure_probs(rhos, method)[1] - prob_good(method, theta, m_values, noise, size))
+                    qfi_rel = np.where(queried, np.abs(qfis - qfi_refs) / qfi_refs, np.abs(qfis))
+                    excess = np.where(queried, np.maximum(0.0, (qfis - bounds) / bounds), np.maximum(0.0, qfis))
+                    bound_gap = np.where(queried, np.abs(qfis - bounds) / bounds, None)
+                    unset = np.full(len(n_qs), None)
+                    rot = rotation_check(factory, m_values) if r == 1.0 and method is Method.Q else unset
+                    # the relative deviation is ill-conditioned where the
+                    # probability derivative nearly vanishes
+                    cfi_ok = np.array(
+                        [n_q > 0 and r**n_q * abs(math.sin(2.0 * n_q * theta)) > 1e-3 for n_q in n_qs.tolist()],
+                        dtype=bool,
+                    )
+                    cfi = unset.copy()
+                    if cfi_ok.any():
+                        cfi_refs = classical_fisher(method, theta, live, noise, size)[cfi_ok]
+                        cfi_nums = propagated_classical_fisher(rhos[cfi_ok], drhos[cfi_ok], method)
+                        cfi[cfi_ok] = np.abs(cfi_nums - cfi_refs) / cfi_refs
+                    columns = (prob_dev, qfi_rel, excess, bound_gap, rot, cfi)
+                    cells.append(
+                        [
+                            EquivalenceCase(method, n, m, r, theta, w_seed, *row)
+                            for m, *row in zip(m_values, *(c.tolist() for c in columns))
+                        ]
+                    )
             # cases run m-major, then r, then method
             cases.extend(case for row in zip(*cells) for case in row)
     return EquivalenceReport(cases=tuple(cases))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher, refsim
+from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher, query_count, refsim
 from aelab.refsim import (
     MAX_AMPLIFICATIONS,
     UnitaryFactory,
@@ -214,6 +214,51 @@ class TestMeasureProbs:
         assert max(vals) - min(vals) < 1e-12
 
 
+class TestStackedReadouts:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        n=st.integers(min_value=1, max_value=3),
+        r=st.floats(min_value=0.5, max_value=1.0),
+        theta=st.floats(min_value=0.02, max_value=math.pi / 2 - 0.02),
+        w_seed=st.integers(min_value=0, max_value=2**32),
+        ms=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6),
+    )
+    def test_stack_equals_single_calls(self, method, n, r, theta, w_seed, ms):
+        # each read-out over a stack (or a list of counts) equals, bit for
+        # bit, its calls on one matrix (or one count), and those give floats
+        def assert_same(stacked, singles):
+            assert all(type(v) is float for v in singles)
+            assert isinstance(stacked, np.ndarray)
+            assert stacked.tolist() == singles
+
+        f = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
+        rhos, drhos = evolve_with_derivative(method, ms, f, r)
+        for stack in (rhos, drhos):
+            per_matrix = [measure_probs(mat, method) for mat in stack]
+            for stacked, singles in zip(measure_probs(stack, method), zip(*per_matrix)):
+                assert_same(stacked, list(singles))
+
+        n_qs = query_count(method, ms)
+        ok = np.array([k > 0 and r**k * abs(math.sin(2.0 * k * theta)) > 1e-3 for k in n_qs.tolist()], dtype=bool)
+        if ok.any():
+            singles = [propagated_classical_fisher(rho, drho, method) for rho, drho in zip(rhos[ok], drhos[ok])]
+            assert_same(propagated_classical_fisher(rhos[ok], drhos[ok], method), singles)
+
+        live = np.maximum(n_qs, 1)
+        singles = [theorem_bound(k, f.dim, r) for k in live.tolist()]
+        assert_same(theorem_bound(live, f.dim, r), singles)
+        # the cumulative survival is the running product of the per-query survivals
+        for k, bound in zip(live.tolist(), singles):
+            rt = 1.0
+            for _ in range(k):
+                rt *= r
+            loop_bound = 4.0 * k * k * rt * rt / (2.0 / f.dim + (1.0 - 2.0 / f.dim) * rt)
+            assert bound == (4.0 * k * k if rt == 1.0 else loop_bound)
+
+        assert_same(rotation_check(f, ms), [rotation_check(f, m) for m in ms])
+
+
 class TestRotation:
     def test_small_m_deviations(self):
         f = UnitaryFactory(n=2, theta=math.pi / 8, w_seed=5)
@@ -320,23 +365,27 @@ class TestPropagatedClassicalFisher:
 
 class TestTheoremBound:
     def test_noiseless(self):
-        assert theorem_bound(3, 2, [1.0, 1.0, 1.0]) == pytest.approx(36.0)
+        assert theorem_bound(3, 2, 1.0) == pytest.approx(36.0)
 
     def test_noisy_value(self):
-        assert theorem_bound(2, 4, [0.9, 0.9]) == pytest.approx(11.599558011049727, rel=1e-12)
+        assert theorem_bound(2, 4, 0.9) == pytest.approx(11.599558011049727, rel=1e-12)
 
     def test_circuit_respects_bound(self):
         f = UnitaryFactory(n=3, theta=0.44, w_seed=3)
         val = spectral_qfi(Method.G, 2, f, 0.95)
-        bound = theorem_bound(5, 16, [0.95] * 5)
+        bound = theorem_bound(5, 16, 0.95)
         assert val <= bound * (1 + 1e-9)
         assert val == pytest.approx(bound, rel=1e-8)  # attained by this circuit
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            theorem_bound(0, 4, [0.9])
+            theorem_bound(0, 4, 0.9)
         with pytest.raises(ValueError):
-            theorem_bound(2, 4, [0.0])
+            theorem_bound(2, 4, 0.0)
+        # the cumulative survival indexes a running product by query count
+        for bad in (2.5, [1, 2.0]):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                theorem_bound(bad, 4, 0.9)
 
 
 class TestEquivalenceSuite:
@@ -374,6 +423,19 @@ class TestEquivalenceSuite:
         # n = 9 has no factory: the count error must come before any work
         with pytest.raises(ValueError, match=f"amplification counts .* got {bad!r}$"):
             run_equivalence_suite(n_values=(9,), m_values=(0, bad, 2), seeds=1)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [(dict(n_values=(1, 9)), r"work-register sizes .* got \[1, 9\]"), (dict(r_values=(0.9, 1.5)), "got 1.5")],
+        ids=["n", "r"],
+    )
+    def test_rejects_bad_grid_before_any_evolution(self, monkeypatch, grid, message):
+        def no_evolution(*args):
+            raise AssertionError("evolved before the grid was checked")
+
+        monkeypatch.setattr(refsim, "evolve_with_derivative", no_evolution)
+        with pytest.raises(ValueError, match=message):
+            run_equivalence_suite(seeds=1, **grid)
 
     def test_fault_injection_is_detected(self):
         report = run_equivalence_suite(
