@@ -14,11 +14,8 @@ from .model import (
     readout_factor,
 )
 from .fisher import (
-    CURVE_KINDS,
-    FisherCurve,
     classical_fisher,
     classical_fisher_envelope,
-    curve,
     envelope_peak,
     quantum_fisher,
 )
@@ -51,11 +48,8 @@ __all__ = [
     "prob_terms",
     "query_count",
     "readout_factor",
-    "CURVE_KINDS",
-    "FisherCurve",
     "classical_fisher",
     "classical_fisher_envelope",
-    "curve",
     "envelope_peak",
     "quantum_fisher",
     "CrbCurves",

@@ -8,6 +8,11 @@ simulate        the Monte-Carlo RMSE experiment with all bound columns
 oracle-verify   density-matrix reference simulator vs every closed form
 breakeven       readout-error break-even register size
 
+Each flag's default sits in its ``add_argument`` call (``aelab <command>
+--help`` prints them all).  ``--config FILE`` replaces those defaults with a
+JSON object keyed by flag name with underscores (``n_qubits``, ``nq_max``):
+the command line beats the file, and the file beats the built-in default.
+
 Exit status: 0 on success, 1 on a usage error, 2 on verification failure.
 Output files are byte-identical across reruns of the same configuration and
 seed; timing goes to stderr only.
@@ -19,6 +24,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -26,12 +32,9 @@ import numpy as np
 
 from . import __version__
 from .estimator import ExperimentConfig, RmseRow, run_experiment
-from .fisher import curve
+from .fisher import classical_fisher, classical_fisher_envelope, quantum_fisher
 from .model import INFINITE, Method, NoiseModel, SystemSize, breakeven_qubits
 from .refsim import run_equivalence_suite
-
-DEFAULT_THETAS = (1 / 6, 1 / 20, 1 / 50)
-DEFAULT_CURVE_SIZES = "1,10,100,inf"
 
 
 class _UsageError(Exception):
@@ -47,6 +50,8 @@ class _Parser(argparse.ArgumentParser):
 def _parse_fraction(text: str) -> float:
     if "/" in text:
         num, den = text.split("/", 1)
+        if float(den) == 0.0:
+            raise _UsageError(f"zero denominator in {text!r}")
         return float(num) / float(den)
     return float(text)
 
@@ -80,25 +85,16 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_fraction(tok) for tok in text.split(",") if tok)
 
 
-def _merged(args: argparse.Namespace, defaults: dict):
-    """Configuration precedence: command line > JSON config file > defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, fallback in defaults.items():
-        cli_val = getattr(args, key.replace("-", "_"), None)
-        if cli_val is not None:
-            out[key] = cli_val
-        elif key in file_cfg:
-            out[key] = file_cfg[key]
-        else:
-            out[key] = fallback
-    return out
+def _query_grid(nq_max: float, nq_points: int) -> np.ndarray:
+    """``linspace(1, nq_max, nq_points)``, refused unless finite, non-empty and strictly increasing."""
+    if not math.isfinite(nq_max):
+        raise _UsageError(f"query grid must be finite, got nq-max {nq_max}")
+    grid = np.linspace(1.0, nq_max, nq_points)
+    if grid.size == 0:
+        raise _UsageError("query grid must be a non-empty 1-D sequence")
+    if np.any(np.diff(grid) <= 0):
+        raise _UsageError("query grid must be strictly increasing")
+    return grid
 
 
 def _write_rows(path: str, fmt: str, metadata: dict, fieldnames: list[str], rows: list[dict]) -> None:
@@ -123,40 +119,30 @@ def _metadata(command: str, params: dict) -> dict:
 
 
 def cmd_fisher_curves(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        {
-            "r": 0.99,
-            "n_qubits": DEFAULT_CURVE_SIZES,
-            "thetas": ",".join(str(t) for t in DEFAULT_THETAS),
-            "methods": "both",
-            "nq_max": 1000.0,
-            "nq_points": 1000,
-            "out": "fisher_curves.csv",
-            "format": "csv",
-        },
-    )
+    cfg = vars(args)
     noise = NoiseModel(float(cfg["r"]))
     sizes = _parse_sizes(str(cfg["n_qubits"]))
     thetas = _parse_float_list(str(cfg["thetas"]))
     methods = _parse_methods(str(cfg["methods"]))
-    grid = np.linspace(1.0, float(cfg["nq_max"]), int(cfg["nq_points"]))
+    grid = _query_grid(float(cfg["nq_max"]), int(cfg["nq_points"]))
     rows = []
     for size in sizes:
         tag = "inf" if size.is_infinite else str(size.n)
         series = []
         for method in methods:
             for theta in thetas:
-                series.append(curve("classical", noise, size, grid, method=method, theta=theta))
-            series.append(curve("classical-envelope", noise, size, grid, method=method))
-        series.append(curve("quantum", noise, size, grid))
-        series.append(curve("noiseless", noise, size, grid))
-        series.append(curve("no-amplification", noise, size, grid))
-        for c in series:
-            label = f"{c.label}@n={tag}"
+                values = classical_fisher(method, theta, grid, noise, size)
+                series.append((f"classical[{method.value},theta={theta:g}]", values))
+            series.append((f"envelope[{method.value}]", classical_fisher_envelope(method, grid, noise, size)))
+        series.append(("quantum", quantum_fisher(grid, noise, size)))
+        series.append(("noiseless", 4.0 * grid * grid))
+        # plain sampling: the single-query envelope value at every grid point
+        single_query = classical_fisher_envelope(Method.G, 1.0, noise, size)
+        series.append(("no-amplification", np.full(grid.size, single_query)))
+        for label, values in series:
             rows.extend(
-                {"n_q": float(nq), "value": float(v), "series_label": label}
-                for nq, v in zip(c.n_q, c.values)
+                {"n_q": float(nq), "value": float(v), "series_label": f"{label}@n={tag}"}
+                for nq, v in zip(grid, values)
             )
     meta = _metadata(
         "fisher-curves",
@@ -175,22 +161,7 @@ def cmd_fisher_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        {
-            "r": 0.99,
-            "n_qubits": "100",
-            "targets": "2/3,1/3,1/6,1/12,1/24,1/48",
-            "base": 6 / 5,
-            "rounds": 37,
-            "shots": 100,
-            "reps": 200,
-            "seed": 42,
-            "methods": "both",
-            "out": "rmse_table.csv",
-            "format": "csv",
-        },
-    )
+    cfg = vars(args)
     config = ExperimentConfig(
         targets=_parse_float_list(str(cfg["targets"])),
         noise=NoiseModel(float(cfg["r"])),
@@ -227,19 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        {
-            "n_qubits": "1,2,3,4",
-            "m_values": "0,1,2,3,4,5",
-            "r_values": "1,0.9,0.5",
-            "seeds": 20,
-            "seed": 7,
-            "out": "oracle_verify.csv",
-            "format": "csv",
-            "selftest_perturb_r": 0.0,
-        },
-    )
+    cfg = vars(args)
     n_values = _parse_int_list(str(cfg["n_qubits"]))
     m_values = _parse_int_list(str(cfg["m_values"]))
     r_values = _parse_float_list(str(cfg["r_values"]))
@@ -320,47 +279,72 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="aelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"aelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # main reaches a subcommand's parser here to apply its --config file
+    parser.commands = sub.choices
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--config", help="JSON file with defaults for any flag")
+    def common(p: _Parser, out: str) -> None:
+        p.add_argument("--out", default=out, help="output file path (default %(default)s)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default %(default)s)")
+        p.add_argument("--config", help="JSON object of flag defaults, keyed by flag name with underscores")
 
     p = sub.add_parser("fisher-curves", help="information-vs-queries curve data")
-    p.add_argument("--r", type=float, help="depolarizing survival probability (default 0.99)")
-    p.add_argument("--n-qubits", help="comma list of register sizes, integers or 'inf' (default 1,10,100,inf)")
-    p.add_argument("--thetas", help="comma list of angles in radians (default 1/6,1/20,1/50)")
-    p.add_argument("--methods", help="g, q or both (default both)")
-    p.add_argument("--nq-max", type=float, help="largest query count on the grid (default 1000)")
-    p.add_argument("--nq-points", type=int, help="number of grid points (default 1000)")
-    common(p)
+    p.add_argument("--r", type=float, default=0.99, help="depolarizing survival probability (default %(default)s)")
+    p.add_argument(
+        "--n-qubits",
+        default="1,10,100,inf",
+        help="comma list of register sizes, integers or 'inf' (default %(default)s)",
+    )
+    # the repr'd floats 1/6, 1/20, 1/50: this text is what the metadata records
+    p.add_argument(
+        "--thetas",
+        default="0.16666666666666666,0.05,0.02",
+        help="comma list of angles in radians (default %(default)s)",
+    )
+    p.add_argument("--methods", default="both", help="g, q or both (default %(default)s)")
+    p.add_argument("--nq-max", type=float, default=1000.0, help="grid's largest query count (default %(default)s)")
+    p.add_argument("--nq-points", type=int, default=1000, help="number of grid points (default %(default)s)")
+    common(p, "fisher_curves.csv")
     p.set_defaults(func=cmd_fisher_curves)
 
+    ref = ExperimentConfig()
     p = sub.add_parser("simulate", help="Monte-Carlo RMSE experiment")
-    p.add_argument("--r", type=float, help="depolarizing survival probability (default 0.99)")
-    p.add_argument("--n-qubits", help="register size, integer or 'inf' (default 100)")
-    p.add_argument("--targets", help="comma list of target amplitudes, fractions allowed (default 2/3,...,1/48)")
-    p.add_argument("--base", type=float, help="schedule growth base (default 6/5)")
-    p.add_argument("--rounds", type=int, help="number of schedule rounds (default 37)")
-    p.add_argument("--shots", type=int, help="shots per round (default 100)")
-    p.add_argument("--reps", type=int, help="Monte-Carlo repetitions (default 200)")
-    p.add_argument("--seed", type=int, help="master seed (default 42)")
-    p.add_argument("--methods", help="g, q or both (default both)")
-    common(p)
+    p.add_argument(
+        "--r", type=float, default=ref.noise.r, help="depolarizing survival probability (default %(default)s)"
+    )
+    p.add_argument("--n-qubits", default=ref.size.n, help="register size, integer or 'inf' (default %(default)s)")
+    p.add_argument(
+        "--targets",
+        default="2/3,1/3,1/6,1/12,1/24,1/48",
+        help="comma list of target amplitudes, fractions allowed (default %(default)s)",
+    )
+    p.add_argument("--base", type=float, default=ref.base, help="schedule growth base (default %(default)s)")
+    p.add_argument("--rounds", type=int, default=ref.rounds, help="number of schedule rounds (default %(default)s)")
+    p.add_argument("--shots", type=int, default=ref.shots, help="shots per round (default %(default)s)")
+    p.add_argument("--reps", type=int, default=ref.repetitions, help="Monte-Carlo repetitions (default %(default)s)")
+    p.add_argument("--seed", type=int, default=ref.master_seed, help="master seed (default %(default)s)")
+    p.add_argument("--methods", default="both", help="g, q or both (default %(default)s)")
+    common(p, "rmse_table.csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle-verify", help="density-matrix simulator vs closed forms")
-    p.add_argument("--n-qubits", help="comma list of work-register sizes in [1,8] (default 1,2,3,4)")
-    p.add_argument("--m-values", help="comma list of amplification counts (default 0..5)")
-    p.add_argument("--r-values", help="comma list of survival probabilities (default 1,0.9,0.5)")
-    p.add_argument("--seeds", type=int, help="random (theta, W) draws per size (default 20)")
-    p.add_argument("--seed", type=int, help="master seed for the draws (default 7)")
+    p.add_argument(
+        "--n-qubits", default="1,2,3,4", help="comma list of work-register sizes in [1,8] (default %(default)s)"
+    )
+    p.add_argument(
+        "--m-values", default="0,1,2,3,4,5", help="comma list of amplification counts (default %(default)s)"
+    )
+    p.add_argument(
+        "--r-values", default="1,0.9,0.5", help="comma list of survival probabilities (default %(default)s)"
+    )
+    p.add_argument("--seeds", type=int, default=20, help="random (theta, W) draws per size (default %(default)s)")
+    p.add_argument("--seed", type=int, default=7, help="master seed for the draws (default %(default)s)")
     p.add_argument(
         "--selftest-perturb-r",
         type=float,
-        help="shrink r inside the simulator only; nonzero values must make the suite fail",
+        default=0.0,
+        help="shrink r inside the simulator only; nonzero values must make the suite fail (default %(default)s)",
     )
-    common(p)
+    common(p, "oracle_verify.csv")
     p.set_defaults(func=cmd_oracle_verify)
 
     p = sub.add_parser("breakeven", help="readout-error break-even register size")
@@ -370,15 +354,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _apply_config(parser: _Parser, path: str) -> None:
+    """Make the JSON object in ``path`` the defaults of ``parser``; its keys must be flag dests."""
+    with open(path) as fh:
+        file_cfg = json.load(fh)
+    if not isinstance(file_cfg, dict):
+        raise _UsageError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
+    keys = {a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(file_cfg) - keys
+    if unknown:
+        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    parser.set_defaults(**file_cfg)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # argparse's own precedence then gives command line > file > default
+            _apply_config(parser.commands[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,8 +95,8 @@ class ExperimentConfig:
     methods: tuple[Method, ...] = (Method.G, Method.Q)
 
     def __post_init__(self) -> None:
-        if self.base <= 1.0:
-            raise ValueError(f"schedule base must exceed 1, got {self.base}")
+        if not 1.0 < self.base < math.inf:
+            raise ValueError(f"schedule base must be finite and exceed 1, got {self.base}")
         if self.master_seed < 0:
             raise ValueError(f"master seed must be a non-negative integer, got {self.master_seed}")
         if self.rounds < 1 or self.shots < 1 or self.repetitions < 1:
@@ -129,8 +129,8 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     outcome distribution carries no angle information.  Duplicate m values
     for small k are intentional and kept as separate rounds.
     """
-    if base <= 1.0:
-        raise ValueError(f"schedule base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise ValueError(f"schedule base must be finite and exceed 1, got {base}")
     ms = [math.floor(base ** (k - 1)) for k in range(num_rounds)]
     if method is Method.Q:
         ms = [m for m in ms if m > 0]

@@ -22,15 +22,15 @@ The chain ``envelope_G <= envelope_Q <= quantum`` holds for every ``d``,
 with three-way equality at d = 2, and ``envelope_Q -> quantum`` pointwise
 as ``d -> infinity``.
 
-Every closed form broadcasts over ``theta`` and ``n_q`` with numpy rules; a
-scalar call returns a Python ``float`` equal, bit for bit, to the array
-call's element.  A zero denominator gives 0 without a floating-point warning.
+Every closed form broadcasts over ``theta`` and ``n_q`` with numpy rules, so
+``aelab fisher-curves`` evaluates each series in one call; a scalar call
+returns a Python ``float`` equal, bit for bit, to the array call's element.
+A zero denominator gives 0 without a floating-point warning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ __all__ = [
     "classical_fisher_envelope",
     "quantum_fisher",
     "envelope_peak",
-    "FisherCurve",
-    "curve",
-    "CURVE_KINDS",
 ]
 
 
@@ -162,64 +159,3 @@ def envelope_peak(
         return classical_fisher_envelope(Method.Q, n_q, noise, size)
 
     return golden_max(f, 1e-9, -10.0 / log_r, xtol=1e-6)
-
-
-CURVE_KINDS = ("classical", "classical-envelope", "quantum", "noiseless", "no-amplification")
-
-
-@dataclass(frozen=True)
-class FisherCurve:
-    """One plottable series: values of an information measure over a query grid."""
-
-    kind: str
-    label: str
-    n_q: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(np.diff(self.n_q) <= 0):
-            raise ValueError("query grid must be strictly increasing")
-        if np.any(self.values < 0):
-            raise ValueError("information values cannot be negative")
-
-
-def curve(
-    kind: str,
-    noise: NoiseModel,
-    size: SystemSize,
-    n_q_grid,
-    method: Method | None = None,
-    theta: float | None = None,
-) -> FisherCurve:
-    """Evaluate one information measure over ``n_q_grid`` in one array call.
-
-    Kinds: ``classical`` (needs method and theta), ``classical-envelope``
-    (needs method), ``quantum``, ``noiseless`` (the ideal ``4 n_q^2``), and
-    ``no-amplification`` (the constant single-query envelope value, i.e. the
-    information rate of plain sampling, about 4 for weak noise).
-    """
-    grid = np.asarray(n_q_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("query grid must be a non-empty 1-D sequence")
-    if kind == "classical":
-        if method is None or theta is None:
-            raise ValueError("classical curves need both a method and theta")
-        vals = classical_fisher(method, theta, grid, noise, size)
-        label = f"classical[{method.value},theta={theta:g}]"
-    elif kind == "classical-envelope":
-        if method is None:
-            raise ValueError("envelope curves need a method")
-        vals = classical_fisher_envelope(method, grid, noise, size)
-        label = f"envelope[{method.value}]"
-    elif kind == "quantum":
-        vals = quantum_fisher(grid, noise, size)
-        label = "quantum"
-    elif kind == "noiseless":
-        vals = 4.0 * grid * grid
-        label = "noiseless"
-    elif kind == "no-amplification":
-        vals = np.full(grid.size, classical_fisher_envelope(Method.G, 1.0, noise, size))
-        label = "no-amplification"
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
-    return FisherCurve(kind=kind, label=label, n_q=grid, values=vals)

@@ -67,6 +67,8 @@ __all__ = [
 
 MAX_WORK_QUBITS = 8
 MAX_AMPLIFICATIONS = 64
+# angle step of numeric_classical_fisher's central differences (halved for the Richardson term)
+_FD_STEP = 1e-5
 
 
 @lru_cache(maxsize=32)
@@ -352,9 +354,7 @@ def propagated_classical_fisher(rho: np.ndarray, drho: np.ndarray, method: Metho
     return _scalar_or_array(np.sum(dp**2 / p, axis=0))
 
 
-def numeric_classical_fisher(
-    method: Method, m: int, factory: UnitaryFactory, r: float, step: float = 1e-5
-) -> float:
+def numeric_classical_fisher(method: Method, m: int, factory: UnitaryFactory, r: float) -> float:
     """Classical Fisher information by Richardson-extrapolated central differences.
 
     The independent test route for derivative propagation: probabilities
@@ -371,8 +371,8 @@ def numeric_classical_fisher(
 
     p = probs(factory.theta)
     _check_nondegenerate(p)
-    d_coarse = (probs(factory.theta + step) - probs(factory.theta - step)) / (2.0 * step)
-    d_fine = (probs(factory.theta + step / 2) - probs(factory.theta - step / 2)) / step
+    d_coarse = (probs(factory.theta + _FD_STEP) - probs(factory.theta - _FD_STEP)) / (2.0 * _FD_STEP)
+    d_fine = (probs(factory.theta + _FD_STEP / 2) - probs(factory.theta - _FD_STEP / 2)) / _FD_STEP
     dp = (4.0 * d_fine - d_coarse) / 3.0
     return float(np.sum(dp**2 / p))
 

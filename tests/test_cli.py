@@ -1,9 +1,13 @@
 import csv
+import inspect
 import json
 
 import pytest
 
+import aelab.cli
 from aelab.cli import main
+from aelab.estimator import ExperimentConfig
+from aelab.refsim import run_equivalence_suite
 
 
 def run_cli(*argv):
@@ -103,6 +107,22 @@ class TestFisherCurves:
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("fisher-curves", "--nq-points", "0",
                        "--out", str(tmp_path / "x.csv")) == 1
+
+    @pytest.mark.parametrize("grid", [("--nq-max", "0.5"), ("--nq-max", "1", "--nq-points", "2")],
+                             ids=["decreasing", "repeated-point"])
+    def test_non_increasing_grid_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        assert run_cli("fisher-curves", *grid, "--out", str(out)) == 1
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_amplification_reference(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        assert run_cli("fisher-curves", "--n-qubits", "inf", "--nq-max", "100", "--nq-points", "3",
+                       "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        values = [float(r["value"]) for r in rows if r["series_label"] == "no-amplification@n=inf"]
+        assert values == pytest.approx([4 * 0.99**2] * 3)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -214,3 +234,110 @@ class TestOracleVerify:
         assert run_cli("oracle-verify", "--m-values", "-1", "--out", str(out)) == 1
         assert "got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, needle",
+    [
+        pytest.param(["simulate", "--targets", "1/0"], None, "zero denominator", id="targets-1/0"),
+        pytest.param(["fisher-curves", "--thetas", "1/0"], None, "zero denominator", id="thetas-1/0"),
+        pytest.param(["oracle-verify", "--r-values", "1,1/0"], None, "zero denominator", id="r-values-1/0"),
+        pytest.param(["simulate", "--base", "inf"], None, "schedule base", id="base-inf"),
+        pytest.param(["simulate", "--base", "nan"], None, "schedule base", id="base-nan"),
+        pytest.param(["fisher-curves", "--nq-max", "inf"], None, "must be finite", id="nq-max-inf"),
+        pytest.param(["fisher-curves", "--nq-max", "nan"], None, "must be finite", id="nq-max-nan"),
+        pytest.param(["simulate"], "5", "JSON object", id="config-number"),
+        pytest.param(["oracle-verify"], "[1, 2]", "JSON object", id="config-array"),
+    ],
+)
+def test_malformed_input_is_one_line_usage_error(tmp_path, capsys, argv, config, needle):
+    out = tmp_path / "out.csv"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
+    assert not out.exists()
+
+
+class TestConfigFile:
+    # (command, config file, command-line flags, the same run given only as flags)
+    PRECEDENCE = [
+        pytest.param("fisher-curves", {"n_qubits": "1,inf", "nq_points": 40}, ["--nq-points", "30", "--nq-max", "60"],
+                     ["--n-qubits", "1,inf", "--nq-points", "30", "--nq-max", "60"], id="fisher-curves"),
+        pytest.param("simulate", {"targets": "1/3", "rounds": 6, "reps": 2}, ["--rounds", "4"],
+                     ["--targets", "1/3", "--reps", "2", "--rounds", "4"], id="simulate"),
+        pytest.param("oracle-verify", {"n_qubits": "1,2", "m_values": "0,1", "seeds": 3}, ["--seeds", "1"],
+                     ["--n-qubits", "1,2", "--m-values", "0,1", "--seeds", "1"], id="oracle-verify"),
+        # a string value is parsed as the flag's own text would be
+        pytest.param("simulate", {"rounds": "4"}, ["--targets", "1/3", "--reps", "2"],
+                     ["--targets", "1/3", "--reps", "2", "--rounds", "4"], id="string-value"),
+    ]
+
+    # every key each command accepts, with values that keep the run small
+    ALL_KEYS = {
+        "fisher-curves": {"r": 0.9, "n_qubits": "1", "thetas": "0.1", "methods": "g", "nq_max": 5.0,
+                          "nq_points": 5, "format": "json"},
+        "simulate": {"r": 0.9, "n_qubits": "10", "targets": "1/3", "base": 1.5, "rounds": 3, "shots": 10,
+                     "reps": 1, "seed": 1, "methods": "q", "format": "json"},
+        "oracle-verify": {"n_qubits": "1", "m_values": "0", "r_values": "1", "seeds": 1, "seed": 1,
+                          "selftest_perturb_r": 0.0, "format": "json"},
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, config, flags, expected", PRECEDENCE)
+    def test_command_line_over_file_over_default(self, tmp_path, command, config, flags, expected, fmt):
+        cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.out", tmp_path / "b.out"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(command, "--config", str(cfg), *flags, "--format", fmt, "--out", str(a)) == 0
+        assert run_cli(command, *expected, "--format", fmt, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(ALL_KEYS))
+    def test_every_flag_is_a_key(self, tmp_path, command):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps({**self.ALL_KEYS[command], "out": str(out)}))
+        assert run_cli(command, "--config", str(cfg)) == 0
+        assert json.loads(out.read_text())["rows"]
+
+    @pytest.mark.parametrize("key", ["config", "command", "func", "help", "n-qubits"])
+    def test_non_flag_key_is_refused(self, tmp_path, capsys, key):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({key: "x"}))
+        assert run_cli("fisher-curves", "--config", str(cfg), "--out", str(out)) == 1
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class _Called(Exception):
+    pass
+
+
+class TestLibraryDefaults:
+    """The literal text defaults of the flags parse to the library's own defaults."""
+
+    def test_bare_simulate_runs_the_reference_config(self, monkeypatch):
+        seen = []
+
+        def fake(config):
+            seen.append(config)
+            raise _Called
+
+        monkeypatch.setattr(aelab.cli, "run_experiment", fake)
+        with pytest.raises(_Called):
+            run_cli("simulate")
+        assert seen == [ExperimentConfig()]
+
+    def test_bare_oracle_verify_runs_the_default_suite(self, monkeypatch):
+        seen = []
+
+        def fake(**kwargs):
+            seen.append(kwargs)
+            raise _Called
+
+        monkeypatch.setattr(aelab.cli, "run_equivalence_suite", fake)
+        with pytest.raises(_Called):
+            run_cli("oracle-verify")
+        defaults = {k: p.default for k, p in inspect.signature(run_equivalence_suite).parameters.items()}
+        assert seen == [defaults]

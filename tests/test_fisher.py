@@ -12,7 +12,6 @@ from aelab import (
     SystemSize,
     classical_fisher,
     classical_fisher_envelope,
-    curve,
     envelope_peak,
     prob_good,
     quantum_fisher,
@@ -209,13 +208,16 @@ class TestBroadcast:
             assert all(type(v) is float for row in expect for v in row)
             got = f(np.array(thetas)[:, None], np.array(cols))
             np.testing.assert_array_equal(got, expect, strict=True)
+            assert np.all(got >= 0)
         for f in (
             lambda k: classical_fisher_envelope(method, k, noise, size),
             lambda k: quantum_fisher(k, noise, size),
         ):
             expect = [f(k) for k in n_qs]
             assert all(type(v) is float for v in expect)
-            np.testing.assert_array_equal(f(np.array(n_qs)), expect, strict=True)
+            got = f(np.array(n_qs))
+            np.testing.assert_array_equal(got, expect, strict=True)
+            assert np.all(got >= 0)
 
     def test_fully_decayed_is_zero(self):
         # r**n_q underflows to 0: on an infinite register every denominator
@@ -285,34 +287,23 @@ class TestThetaSweep:
 
 
 class TestCurve:
+    """Each closed form over a query grid in one array call, as ``aelab fisher-curves`` evaluates it."""
+
     def test_quantum_noiseless_values(self):
-        c = curve("quantum", NoiseModel(1.0), INFINITE, [1.0, 2.0, 3.0])
-        assert np.allclose(c.values, [4.0, 16.0, 36.0])
+        assert np.allclose(quantum_fisher(np.array([1.0, 2.0, 3.0]), NoiseModel(1.0), INFINITE), [4.0, 16.0, 36.0])
 
     def test_envelope_curve_peak_location(self):
         grid = np.arange(1.0, 1001.0)
-        c = curve("classical-envelope", NoiseModel(0.99), INFINITE, grid, method=Method.G)
-        k = int(np.argmax(c.values))
-        assert c.n_q[k] in (99.0, 100.0)
-        assert c.values[k] == pytest.approx(5359.2, rel=1e-3)
+        values = classical_fisher_envelope(Method.G, grid, NoiseModel(0.99), INFINITE)
+        k = int(np.argmax(values))
+        assert grid[k] in (99.0, 100.0)
+        assert values[k] == pytest.approx(5359.2, rel=1e-3)
 
     def test_classical_bounded_by_envelope(self):
         grid = np.arange(1.0, 301.0)
         noise = NoiseModel(0.99)
-        cl = curve("classical", noise, INFINITE, grid, method=Method.G, theta=1 / 6)
-        env = curve("classical-envelope", noise, INFINITE, grid, method=Method.G)
-        assert np.all(cl.values <= env.values * (1 + 1e-9))
+        cl = classical_fisher(Method.G, 1 / 6, grid, noise, INFINITE)
+        env = classical_fisher_envelope(Method.G, grid, noise, INFINITE)
+        assert np.all(cl <= env * (1 + 1e-9))
         # oscillation: the classical curve actually moves around
-        assert cl.values.std() > 0
-
-    def test_no_amplification_reference(self):
-        c = curve("no-amplification", NoiseModel(0.99), INFINITE, [1.0, 10.0, 100.0])
-        assert np.allclose(c.values, 4 * 0.99**2)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            curve("quantum", NoiseModel(0.99), INFINITE, [1.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            curve("classical", NoiseModel(0.99), INFINITE, [1.0, 2.0], method=Method.G)
-        with pytest.raises(ValueError):
-            curve("bogus", NoiseModel(0.99), INFINITE, [1.0, 2.0])
+        assert cl.std() > 0
