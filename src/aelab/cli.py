@@ -9,9 +9,10 @@ oracle-verify   density-matrix reference simulator vs every closed form
 breakeven       readout-error break-even register size
 
 Each flag's default sits in its ``add_argument`` call (``aelab <command>
---help`` prints them all).  ``--config FILE`` replaces those defaults with a
-JSON object keyed by flag name with underscores (``n_qubits``, ``nq_max``):
-the command line beats the file, and the file beats the built-in default.
+--help`` prints them all).  ``--config FILE`` holds a JSON object keyed by
+flag name with underscores (``n_qubits``, ``nq_max``); it stands for the flags
+it names, each value a string or a number that is parsed as that flag's text
+would be.  The command line beats the file, and the file beats the default.
 
 Exit status: 0 on success, 1 on a usage error, 2 on verification failure.
 Output files are byte-identical across reruns of the same configuration and
@@ -63,8 +64,8 @@ def _parse_size(tok: str) -> SystemSize:
     return SystemSize(int(tok))
 
 
-def _parse_sizes(text: str) -> tuple[SystemSize, ...]:
-    return tuple(_parse_size(tok) for tok in text.split(",") if tok)
+def _parse_list(text: str, item) -> tuple:
+    return tuple(item(tok) for tok in text.split(",") if tok)
 
 
 def _parse_methods(text: str) -> tuple[Method, ...]:
@@ -77,18 +78,11 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
         raise _UsageError(f"methods must be one of g, q, both; got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_fraction(tok) for tok in text.split(",") if tok)
-
-
 def _query_grid(nq_max: float, nq_points: int) -> np.ndarray:
     """``linspace(1, nq_max, nq_points)``, refused unless finite, non-empty and strictly increasing."""
-    if not math.isfinite(nq_max):
-        raise _UsageError(f"query grid must be finite, got nq-max {nq_max}")
+    # every series is at most the noiseless 4*n_q**2; rounding lifts classical_fisher up to 1.5x over it at r = 1
+    if not math.isfinite(8.0 * nq_max * nq_max):
+        raise _UsageError(f"query grid and twice its noiseless bound, 8*nq-max**2, must be finite, got nq-max {nq_max}")
     grid = np.linspace(1.0, nq_max, nq_points)
     if grid.size == 0:
         raise _UsageError("query grid must be a non-empty 1-D sequence")
@@ -120,11 +114,11 @@ def _metadata(command: str, params: dict) -> dict:
 
 def cmd_fisher_curves(args: argparse.Namespace) -> int:
     cfg = vars(args)
-    noise = NoiseModel(float(cfg["r"]))
-    sizes = _parse_sizes(str(cfg["n_qubits"]))
-    thetas = _parse_float_list(str(cfg["thetas"]))
-    methods = _parse_methods(str(cfg["methods"]))
-    grid = _query_grid(float(cfg["nq_max"]), int(cfg["nq_points"]))
+    noise = NoiseModel(cfg["r"])
+    sizes = _parse_list(cfg["n_qubits"], _parse_size)
+    thetas = _parse_list(cfg["thetas"], _parse_fraction)
+    methods = _parse_methods(cfg["methods"])
+    grid = _query_grid(cfg["nq_max"], cfg["nq_points"])
     rows = []
     for size in sizes:
         tag = "inf" if size.is_infinite else str(size.n)
@@ -155,7 +149,7 @@ def cmd_fisher_curves(args: argparse.Namespace) -> int:
             "nq_points": cfg["nq_points"],
         },
     )
-    _write_rows(str(cfg["out"]), str(cfg["format"]), meta, ["n_q", "value", "series_label"], rows)
+    _write_rows(cfg["out"], cfg["format"], meta, ["n_q", "value", "series_label"], rows)
     print(f"wrote {len(rows)} curve points to {cfg['out']}")
     return 0
 
@@ -163,15 +157,15 @@ def cmd_fisher_curves(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = vars(args)
     config = ExperimentConfig(
-        targets=_parse_float_list(str(cfg["targets"])),
-        noise=NoiseModel(float(cfg["r"])),
-        size=_parse_size(str(cfg["n_qubits"])),
-        base=float(cfg["base"]),
-        rounds=int(cfg["rounds"]),
-        shots=int(cfg["shots"]),
-        repetitions=int(cfg["reps"]),
-        master_seed=int(cfg["seed"]),
-        methods=_parse_methods(str(cfg["methods"])),
+        targets=_parse_list(cfg["targets"], _parse_fraction),
+        noise=NoiseModel(cfg["r"]),
+        size=_parse_size(cfg["n_qubits"]),
+        base=cfg["base"],
+        rounds=cfg["rounds"],
+        shots=cfg["shots"],
+        repetitions=cfg["reps"],
+        master_seed=cfg["seed"],
+        methods=_parse_methods(cfg["methods"]),
     )
     t0 = time.perf_counter()
     table = run_experiment(config)
@@ -191,7 +185,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
     )
     fields = [f.name for f in dataclasses.fields(RmseRow)]
-    _write_rows(str(cfg["out"]), str(cfg["format"]), meta, fields, table.as_dicts())
+    _write_rows(cfg["out"], cfg["format"], meta, fields, table.as_dicts())
     print(f"wrote {len(table.rows)} rows to {cfg['out']}", file=sys.stdout)
     print(f"simulate finished in {elapsed:.1f}s", file=sys.stderr)
     return 0
@@ -199,10 +193,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     cfg = vars(args)
-    n_values = _parse_int_list(str(cfg["n_qubits"]))
-    m_values = _parse_int_list(str(cfg["m_values"]))
-    r_values = _parse_float_list(str(cfg["r_values"]))
-    seeds = int(cfg["seeds"])
+    n_values = _parse_list(cfg["n_qubits"], int)
+    m_values = _parse_list(cfg["m_values"], int)
+    r_values = _parse_list(cfg["r_values"], _parse_fraction)
+    seeds = cfg["seeds"]
     if not (n_values and m_values and r_values) or seeds < 1:
         # a run of zero cases would verify nothing and still exit 0
         raise _UsageError(
@@ -215,8 +209,8 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
         m_values=m_values,
         r_values=r_values,
         seeds=seeds,
-        master_seed=int(cfg["seed"]),
-        perturb_r=float(cfg["selftest_perturb_r"]),
+        master_seed=cfg["seed"],
+        perturb_r=cfg["selftest_perturb_r"],
     )
     elapsed = time.perf_counter() - t0
     rows = []
@@ -247,7 +241,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
         },
     )
     fields = list(rows[0].keys()) if rows else []
-    _write_rows(str(cfg["out"]), str(cfg["format"]), meta, fields, rows)
+    _write_rows(cfg["out"], cfg["format"], meta, fields, rows)
     print(
         f"{report.n_cases} cases, {report.n_failed} failures; "
         f"max probability dev {report.worst('prob_dev'):.3e}, "
@@ -267,11 +261,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_breakeven(args: argparse.Namespace) -> int:
-    try:
-        value = breakeven_qubits(args.eps)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    print(f"{value!r}")
+    print(f"{breakeven_qubits(args.eps)!r}")
     return 0
 
 
@@ -279,13 +269,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="aelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"aelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # main reaches a subcommand's parser here to apply its --config file
+    # main reaches a subcommand's parser here to read its --config file
     parser.commands = sub.choices
 
     def common(p: _Parser, out: str) -> None:
         p.add_argument("--out", default=out, help="output file path (default %(default)s)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default %(default)s)")
-        p.add_argument("--config", help="JSON object of flag defaults, keyed by flag name with underscores")
+        p.add_argument("--config", help="JSON object of flag values, keyed by flag name with underscores")
 
     p = sub.add_parser("fisher-curves", help="information-vs-queries curve data")
     p.add_argument("--r", type=float, default=0.99, help="depolarizing survival probability (default %(default)s)")
@@ -311,7 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--r", type=float, default=ref.noise.r, help="depolarizing survival probability (default %(default)s)"
     )
-    p.add_argument("--n-qubits", default=ref.size.n, help="register size, integer or 'inf' (default %(default)s)")
+    p.add_argument("--n-qubits", default=str(ref.size.n), help="register size, integer or 'inf' (default %(default)s)")
     p.add_argument(
         "--targets",
         default="2/3,1/3,1/6,1/12,1/24,1/48",
@@ -354,27 +344,33 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(parser: _Parser, path: str) -> None:
-    """Make the JSON object in ``path`` the defaults of ``parser``; its keys must be flag dests."""
+def _config_flags(parser: _Parser, path: str) -> list[str]:
+    """The JSON object in ``path`` as ``--flag=value`` tokens; its keys must be flag dests of ``parser``."""
     with open(path) as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
         raise _UsageError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
-    keys = {a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
-    unknown = set(file_cfg) - keys
+    flags = {a.dest: a.option_strings[-1] for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = set(file_cfg) - flags.keys()
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    parser.set_defaults(**file_cfg)
+    # a flag's text is a string or a number; JSON true/false are bools, which are ints to Python
+    bad = [k for k, v in file_cfg.items() if isinstance(v, bool) or not isinstance(v, (str, int, float))]
+    if bad:
+        raise _UsageError(f"config values must be strings or numbers: {sorted(bad)}")
+    return [f"{flags[k]}={v}" for k, v in file_cfg.items()]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # argparse's own precedence then gives command line > file > default
-            _apply_config(parser.commands[args.command], args.config)
-            args = parser.parse_args(argv)
+            # argparse keeps a flag's last value: command line > file > default
+            at = argv.index(args.command) + 1
+            file_flags = _config_flags(parser.commands[args.command], args.config)
+            args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,8 +32,9 @@ round ``j`` of repetition ``rep`` of target ``ti`` for the method with seed
 code ``code`` (G 0, Q 1) draws with
 ``derive_seed(master_seed, code, ti, rep, j)``, which is
 ``SeedSequence([master_seed, code, ti, rep, j]).generate_state(1, np.uint64)[0]``.
-:func:`seed_keys` computes that hash for a whole grid of paths at once, and
-:func:`derive_seed` is its one-path call.  A round's hits are the first
+:func:`seed_keys` computes that hash for a whole grid of paths at once (each
+array component, an index such as a repetition or a round, below ``2**32``),
+and :func:`derive_seed` is its one-path call.  A round's hits are the first
 ``binomial`` of a fresh ``Generator(Philox(key=seed))``; :func:`draw_hits`
 serves every key from one generator whose state it resets to that key,
 counter 0 and an empty buffer before each draw, which gives exactly those
@@ -231,9 +232,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# The hash below is uint32 arithmetic on uint64 arrays, one element per path:
-# every product of two words fits in 64 bits, and each result is masked back
-# to 32 bits.
+# The hash below is uint32 arithmetic on uint64 arrays (one element per path)
+# or Python ints: every product of two words fits in 64 bits, and each result
+# is masked back to 32 bits.
 
 
 def _mix(x, y):
@@ -263,68 +264,53 @@ def _split(value: int) -> list[int]:
     return [value >> (32 * w) & _MASK32 for w in range(max(1, -(-value.bit_length() // 32)))]
 
 
-def _entropy(components, shape) -> tuple[list, object]:
-    """The concatenated entropy words of every path, one column per word
-    position, and the number of words of each path.
+def _entropy(components) -> list:
+    """The entropy words of every path, in order.
 
-    Each column is a uint64 array over the flattened paths (one path for an
-    all-scalar call), zero past a path's own length.
+    A scalar component splits into ``SeedSequence``'s words, as Python ints
+    (numpy uint64 scalars warn on overflow); an array component is one word
+    per path, so each of its entries must lie in [0, 2**32).  Every path of a
+    call therefore has the same number of words.
     """
-    count = math.prod(shape)
-    parts = []
+    words = []
     for c in components:
-        if np.ndim(c):
-            c = np.broadcast_to(c, shape).reshape(-1)
-            if c.dtype.kind not in "iu":
-                raise TypeError(f"seed components must be integers, got {c.dtype}")
-            if np.count_nonzero(c < 0):
-                raise ValueError("seed components must be non-negative integers")
-            c = c.astype(np.uint64)
-            hi = c >> 32
-            parts.append((np.stack([c & _MASK32, hi], axis=-1), 1 + (hi != 0)))
-        else:
-            split = _split(operator.index(c))
-            words = np.broadcast_to(np.array(split, dtype=np.uint64), (count, len(split)))
-            parts.append((words, np.full(count, len(split))))
-    lengths = sum(n for _, n in parts)
-    entropy = np.zeros((count, int(np.max(lengths, initial=1))), dtype=np.uint64)
-    rows, at = np.arange(count), np.zeros(count, dtype=np.intp)
-    for words, n in parts:
-        for w in range(words.shape[1]):
-            live = w < n
-            entropy[rows[live], at[live] + w] = words[live, w]
-        at += n
-    return list(entropy.T), lengths
+        if not np.ndim(c):
+            words.extend(_split(operator.index(c)))
+            continue
+        c = np.asarray(c)
+        if c.dtype.kind not in "iu":
+            raise TypeError(f"seed components must be integers, got {c.dtype}")
+        if np.count_nonzero((c < 0) | (c > _MASK32)):
+            raise ValueError("array seed components must lie in [0, 2**32)")
+        words.append(c.astype(np.uint64))
+    return words
 
 
 def seed_keys(master_seed: int, *path) -> np.ndarray:
     """:func:`derive_seed` of every path on a broadcast grid, as a uint64 array.
 
-    Each component is a non-negative int or an integer array; the arrays
-    broadcast together and the result has their shape.  The key of a path is
-    ``SeedSequence([master_seed, *path]).generate_state(1, np.uint64)[0]``,
-    computed by the same uint32 arithmetic for all paths at once; a word
-    position beyond a path's own length leaves that path untouched.
+    Each component is a non-negative int or an array of ints in [0, 2**32);
+    the arrays broadcast together and the result has their shape.  The key
+    of a path is ``SeedSequence([master_seed, *path]).generate_state(1,
+    np.uint64)[0]``, computed by the same uint32 arithmetic for all paths at
+    once.
     """
-    components = (master_seed, *path)
-    shape = np.broadcast_shapes(*(np.shape(c) for c in components))
-    columns, lengths = _entropy(components, shape)
+    words = _entropy((master_seed, *path))
     # SeedSequence.mix_entropy: the first words fill the pool (zero past the
     # end), the pool mixes with itself, then each remaining word mixes in
     hashmix = _hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(columns[i] if i < len(columns) else 0) for i in range(_POOL_SIZE)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(columns)):
-        live = src < lengths
+    for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(live, _mix(pool[dst], hashmix(columns[src])), pool[dst])
+            pool[dst] = _mix(pool[dst], hashmix(word))
     # SeedSequence.generate_state(1, np.uint64): two words, low word first
     output = _hashmix(_INIT_B, _MULT_B)
     low, high = output(pool[0]), output(pool[1])
-    return np.asarray(low | high << 32, dtype=np.uint64).reshape(shape)
+    return np.asarray(low | high << 32, dtype=np.uint64)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

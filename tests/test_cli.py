@@ -246,6 +246,9 @@ class TestOracleVerify:
         pytest.param(["simulate", "--base", "nan"], None, "schedule base", id="base-nan"),
         pytest.param(["fisher-curves", "--nq-max", "inf"], None, "must be finite", id="nq-max-inf"),
         pytest.param(["fisher-curves", "--nq-max", "nan"], None, "must be finite", id="nq-max-nan"),
+        # finite, but the noiseless series 4*n_q**2 overflows
+        pytest.param(["fisher-curves", "--nq-max", "1e300", "--nq-points", "3", "--n-qubits", "1"], None,
+                     "must be finite", id="nq-max-overflow"),
         pytest.param(["simulate"], "5", "JSON object", id="config-number"),
         pytest.param(["oracle-verify"], "[1, 2]", "JSON object", id="config-array"),
     ],
@@ -273,6 +276,19 @@ class TestConfigFile:
         # a string value is parsed as the flag's own text would be
         pytest.param("simulate", {"rounds": "4"}, ["--targets", "1/3", "--reps", "2"],
                      ["--targets", "1/3", "--reps", "2", "--rounds", "4"], id="string-value"),
+        # and a number as its text: an int for a float flag, a number for a text flag
+        pytest.param("fisher-curves", {"nq_max": 50, "n_qubits": 1}, ["--nq-points", "20"],
+                     ["--nq-max", "50", "--n-qubits", "1", "--nq-points", "20"], id="number-value"),
+    ]
+
+    # values no flag text stands for, or that the flag's type or choices refuse
+    BAD_VALUES = [
+        pytest.param("simulate", {"rounds": None}, id="rounds-null"),
+        pytest.param("simulate", {"rounds": [3]}, id="rounds-list"),
+        pytest.param("oracle-verify", {"seeds": True}, id="seeds-true"),
+        pytest.param("fisher-curves", {"nq_points": 5.7}, id="nq-points-float"),
+        pytest.param("fisher-curves", {"format": "xml"}, id="format-xml"),
+        pytest.param("fisher-curves", {"out": None}, id="out-null"),
     ]
 
     # every key each command accepts, with values that keep the run small
@@ -293,6 +309,16 @@ class TestConfigFile:
         assert run_cli(command, "--config", str(cfg), *flags, "--format", fmt, "--out", str(a)) == 0
         assert run_cli(command, *expected, "--format", fmt, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command, config", BAD_VALUES)
+    def test_bad_value_is_one_line_usage_error(self, tmp_path, monkeypatch, capsys, command, config):
+        # the default output path is relative, so any file written lands here
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli(command, "--config", "cfg.json") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("command", sorted(ALL_KEYS))
     def test_every_flag_is_a_key(self, tmp_path, command):

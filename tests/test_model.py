@@ -188,24 +188,27 @@ class TestDeriveSeed:
 
     @given(
         master=st.integers(min_value=0, max_value=2**80 - 1),
+        prefix=st.lists(st.integers(min_value=0, max_value=2**40 - 1), max_size=3),
         paths=st.integers(min_value=1, max_value=6).flatmap(
             lambda k: st.lists(
-                st.lists(st.integers(min_value=0, max_value=2**40 - 1), min_size=k, max_size=k),
+                st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=k, max_size=k),
                 min_size=1,
                 max_size=4,
             )
         ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_array_keys_equal_seed_sequence(self, master, paths):
-        # components of 2**32 and above split into several words, so the
-        # paths of one array call can differ in length
-        keys = seed_keys(master, *np.array(paths, dtype=np.int64).T)
+    def test_array_keys_equal_seed_sequence(self, master, prefix, paths):
+        # scalars split into SeedSequence's words; an array component is one
+        # word per path, below 2**32
+        keys = seed_keys(master, *prefix, *np.array(paths, dtype=np.int64).T)
         assert keys.dtype == np.uint64 and keys.shape == (len(paths),)
         for key, path in zip(keys.tolist(), paths):
-            expected = int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
-            assert derive_seed(master, *path) == expected
+            expected = int(np.random.SeedSequence([master, *prefix, *path]).generate_state(1, np.uint64)[0])
+            assert derive_seed(master, *prefix, *path) == expected
             assert key == expected
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            seed_keys(master, *prefix, np.array([2**32]))
 
 
 class TestDrawHits:
