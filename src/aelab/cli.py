@@ -116,6 +116,8 @@ def cmd_fisher_curves(args: argparse.Namespace) -> int:
     cfg = vars(args)
     noise = NoiseModel(cfg["r"])
     sizes = _parse_list(cfg["n_qubits"], _parse_size)
+    if not sizes:
+        raise _UsageError(f"at least one register size is required, got n-qubits {cfg['n_qubits']!r}")
     thetas = _parse_list(cfg["thetas"], _parse_fraction)
     methods = _parse_methods(cfg["methods"])
     grid = _query_grid(cfg["nq_max"], cfg["nq_points"])
@@ -196,19 +198,12 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     n_values = _parse_list(cfg["n_qubits"], int)
     m_values = _parse_list(cfg["m_values"], int)
     r_values = _parse_list(cfg["r_values"], _parse_fraction)
-    seeds = cfg["seeds"]
-    if not (n_values and m_values and r_values) or seeds < 1:
-        # a run of zero cases would verify nothing and still exit 0
-        raise _UsageError(
-            f"the oracle grid is empty (n-qubits {cfg['n_qubits']!r}, m-values {cfg['m_values']!r}, "
-            f"r-values {cfg['r_values']!r}, seeds {seeds}); nothing would be verified"
-        )
     t0 = time.perf_counter()
     report = run_equivalence_suite(
         n_values=n_values,
         m_values=m_values,
         r_values=r_values,
-        seeds=seeds,
+        seeds=cfg["seeds"],
         master_seed=cfg["seed"],
         perturb_r=cfg["selftest_perturb_r"],
     )
@@ -240,8 +235,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
             "seed": cfg["seed"],
         },
     )
-    fields = list(rows[0].keys()) if rows else []
-    _write_rows(cfg["out"], cfg["format"], meta, fields, rows)
+    _write_rows(cfg["out"], cfg["format"], meta, list(rows[0]), rows)
     print(
         f"{report.n_cases} cases, {report.n_failed} failures; "
         f"max probability dev {report.worst('prob_dev'):.3e}, "

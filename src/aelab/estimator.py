@@ -9,22 +9,24 @@ the root-mean-square error for every schedule prefix, and attaches the
 matching Cramer-Rao lower-bound curves.
 
 The likelihood is maximized by a grid scan followed by the root of its
-analytic derivative inside the bracketing grid interval.  The grid must
-outresolve the fastest likelihood oscillation, whose period ``pi/n_q`` is
-set by the schedule's largest query count: it holds 32 points per such
-period (``16*n_max`` points over (0, pi/2), at least 4096; 18,896 for the
-default 37-round schedule).  The per-round log-probability tables cost
-grid points x distinct query counts, and a schedule whose tables would
-exceed ``TABLE_BUDGET`` is refused with a ``ValueError`` naming the largest
+analytic derivative inside the bracketing grid interval, by one fit routine
+that serves :func:`run_experiment` (every prefix of a cell) and
+:func:`mle_estimate` (a record's last round).  The grid must outresolve
+the fastest likelihood oscillation, whose period ``pi/n_q`` is set by the
+schedule's largest query count: it holds 32 points per such period
+(``16*n_max`` points over (0, pi/2), at least 4096; 18,896 for the default
+37-round schedule).  The per-round log-probability tables cost grid points
+x distinct query counts, and a schedule whose tables would exceed
+``TABLE_BUDGET`` is refused with a ``ValueError`` naming the largest
 supported query count, rather than estimated on a grid that aliases.
 
-One subtlety is baked into :func:`mle_estimate`: the modified-operator
-method only ever uses even query counts, whose outcome distributions are
-exactly invariant under ``theta -> pi/2 - theta``.  Its likelihood therefore
-always has two mirror-image global maxima, and floating-point noise would
-pick between them at random.  The estimator resolves the tie
-deterministically by always reporting the smaller angle, so targets with
-``a > 1/2`` are mapped to their mirror image by construction.
+One subtlety is baked into the fit: the modified-operator method only ever
+uses even query counts, whose outcome distributions are exactly invariant
+under ``theta -> pi/2 - theta``.  Its likelihood therefore always has two
+mirror-image global maxima, and floating-point noise would pick between
+them at random.  The estimator resolves the tie deterministically by always
+reporting the smaller angle, so targets with ``a > 1/2`` are mapped to their
+mirror image by construction.
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ class ExperimentConfig:
             raise ValueError(f"master seed must be a non-negative integer, got {self.master_seed}")
         if self.rounds < 1 or self.shots < 1 or self.repetitions < 1:
             raise ValueError("rounds, shots and repetitions must all be >= 1")
-        if not self.targets or not all(0.0 < a < 1.0 for a in self.targets):
+        if not self.targets:
+            raise ValueError("at least one target is required")
+        if not all(0.0 < a < 1.0 for a in self.targets):
             raise ValueError("targets must be amplitudes strictly inside (0, 1)")
         if not self.methods:
             raise ValueError("at least one method is required")
@@ -117,9 +121,6 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         if self.method is Method.Q and any(oc.m == 0 for oc in self.outcomes):
             raise ValueError("zero-amplification rounds carry no signal for method Q and must be dropped")
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
 
 
 def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method) -> Schedule:
@@ -193,19 +194,20 @@ class _GridLikelihood:
     The theta grid holds ``POINTS_PER_PERIOD`` points per period
     ``pi/n_q`` of the schedule's largest query count (at least
     ``MIN_GRID_POINTS``), and the per-round log-probability tables are built
-    once per distinct query count.  Both depend only on the schedule, so one
-    instance serves every repetition and prefix of an experiment cell; the
-    per-record work is a running in-place accumulation plus argmax, and the
-    refinement of all brackets runs batched.
+    once per distinct query count.  Both depend only on the rounds' query
+    counts ``ms``, so one instance serves every repetition and prefix of an
+    experiment cell.  Its one entry point, :meth:`fit`, scans each record
+    with a running in-place accumulation and refines all brackets batched.
     """
 
-    def __init__(self, method: Method, schedule: Schedule, noise: NoiseModel, size: SystemSize) -> None:
-        if not schedule.rounds:
-            raise ValueError("schedule holds no rounds")
+    def __init__(self, method: Method, ms, noise: NoiseModel, size: SystemSize) -> None:
+        if not len(ms):
+            raise ValueError("no rounds to fit")
         self.method = method
-        self.terms = prob_terms(method, [m for m, _ in schedule.rounds], noise, size)
-        n_q = self.terms[0]
-        distinct = len(np.unique(n_q))
+        self.terms = prob_terms(method, ms, noise, size)
+        n_q, r_pow, floor = self.terms
+        first, inverse = np.unique(n_q, return_index=True, return_inverse=True)[1:]
+        distinct = len(first)
         points = max(MIN_GRID_POINTS, POINTS_PER_PERIOD * int(n_q.max()) // 2)
         if points * distinct > TABLE_BUDGET:
             largest = TABLE_BUDGET // distinct * 2 // POINTS_PER_PERIOD
@@ -217,28 +219,28 @@ class _GridLikelihood:
         edges = np.linspace(0.0, math.pi / 2, points + 2)
         self.theta = edges[1:-1]
         self._step = edges[1] - edges[0]
-        tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for n, r_pow, floor in zip(*self.terms):
-            if n not in tables:
-                p1 = hit_probability(n * self.theta, r_pow, floor)
-                with np.errstate(divide="ignore"):
-                    tables[n] = (np.log(p1), np.log1p(-p1))
-        self._logs = [tables[n] for n in n_q]
+        # one block for all tables, so glibc reuses its pages for the next instance rather than trim and re-fault them
+        tables = np.empty((distinct, 2, points))
+        with np.errstate(divide="ignore"):
+            for (lp1, lp0), k in zip(tables, first):
+                p1 = hit_probability(n_q[k] * self.theta, r_pow[k], floor[k])
+                np.log(p1, out=lp1)
+                np.log1p(-p1, out=lp0)
+        self._logs = [tuple(tables[i]) for i in inverse]
 
-    def _scan(self, hits: np.ndarray, misses: np.ndarray, prefixes: bool = True) -> list[int]:
-        """Grid argmax index of one record's log-likelihood after each round,
-        or after the last round only.  Ties resolve to the smallest angle.
+    def _scan(self, hits: np.ndarray, misses: np.ndarray, ends: set[int]) -> list[int]:
+        """Grid argmax index of one record's log-likelihood after each round
+        index in ``ends``, in round order.  Ties resolve to the smallest angle.
         """
         acc = np.zeros_like(self.theta)
         tmp = np.empty_like(acc)
         best = []
-        last = len(hits) - 1
         for k, ((lp1, lp0), h, m) in enumerate(zip(self._logs, hits, misses)):
             if h:
                 acc += np.multiply(lp1, h, out=tmp)
             if m:
                 acc += np.multiply(lp0, m, out=tmp)
-            if prefixes or k == last:
+            if k in ends:
                 best.append(int(np.argmax(acc)))
         return best
 
@@ -297,39 +299,35 @@ class _GridLikelihood:
         out[idx] = 0.5 * (lo + hi)
         return out
 
-    def _fold(self, est: np.ndarray) -> np.ndarray:
-        """Method Q's likelihood is exactly mirror-symmetric about pi/4; report (0, pi/4]."""
-        return np.minimum(est, math.pi / 2 - est) if self.method is Method.Q else est
-
-    def fit_prefixes(self, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
-        """Maximum-likelihood angle of every prefix of every record.
+    def fit(self, hits: np.ndarray, misses: np.ndarray, ends) -> np.ndarray:
+        """Maximum-likelihood angle of every record after each round index in ``ends``.
 
         ``hits``/``misses`` are ``(records, rounds)`` counts over the whole
-        schedule; the result has the same shape.  Records are scanned one at
-        a time; the (record, prefix) brackets are refined together, in
-        blocks of at most ``REFINE_BLOCK`` bracket x round terms.
+        schedule and ``ends`` ascending round indices; the result has shape
+        ``(records, len(ends))``.  Records are scanned one at a time; the
+        (record, end) brackets are refined together, in blocks of at most
+        ``REFINE_BLOCK`` bracket x round terms.  Q's likelihood is exactly
+        mirror-symmetric about pi/4, so its estimates fold onto (0, pi/4].
         """
         records, rounds = hits.shape
         if rounds != len(self._logs):
             raise ValueError(f"counts cover {rounds} rounds, the schedule {len(self._logs)}")
-        centers = self.theta[[self._scan(h, m) for h, m in zip(hits, misses)]].ravel()
-        est = np.empty_like(centers)
+        ends = np.asarray(ends)
+        wanted = set(ends.tolist())
+        centers = self.theta[[self._scan(h, m, wanted) for h, m in zip(hits, misses)]].ravel()
+        est = np.empty((records, len(ends)))
         block = max(1, REFINE_BLOCK // rounds)
         for s in range(0, len(centers), block):
             b = np.arange(s, min(s + block, len(centers)))
-            rec = b // rounds
-            upto = np.arange(rounds) <= (b % rounds)[:, None]  # prefix k sees rounds j <= k
-            est[b] = self._refine(centers[b], hits[rec] * upto, misses[rec] * upto)
-        return self._fold(est.reshape(records, rounds))
-
-    def estimate(self, hits: np.ndarray, misses: np.ndarray) -> float:
-        """Maximum-likelihood angle of one record, from its full set of rounds only."""
-        center = self.theta[self._scan(hits, misses, prefixes=False)]
-        return float(self._fold(self._refine(center, hits[None], misses[None]))[0])
+            rec, end = np.divmod(b, len(ends))
+            upto = np.arange(rounds) <= ends[end][:, None]  # the fit after round e sees rounds j <= e
+            est.flat[b] = self._refine(centers[b], hits[rec] * upto, misses[rec] * upto)
+        return np.minimum(est, math.pi / 2 - est) if self.method is Method.Q else est
 
 
 def mle_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize = INFINITE) -> float:
-    """Maximum-likelihood angle for a full record.
+    """Maximum-likelihood angle for a full record: the engine's one fit
+    routine, asked for the record's last round only.
 
     Grid scan over (0, pi/2) with first-occurrence (smallest theta)
     tie-breaking, then the root of the analytic derivative inside the
@@ -337,11 +335,9 @@ def mle_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize 
     when the maximum is pinned at a domain edge).  See the module docstring
     for the grid rule and the method-Q mirror fold.
     """
-    if not record.outcomes:
-        raise ValueError("record holds no rounds")
-    schedule = Schedule(rounds=tuple((oc.m, oc.shots) for oc in record.outcomes))
-    grid = _GridLikelihood(record.method, schedule, noise, size)
-    return grid.estimate(*_counts(record.outcomes))
+    grid = _GridLikelihood(record.method, [oc.m for oc in record.outcomes], noise, size)
+    hits, misses = _counts(record.outcomes)
+    return float(grid.fit(hits[None], misses[None], [len(hits) - 1])[0, 0])
 
 
 def sample_hits(
@@ -468,7 +464,7 @@ def run_experiment(config: ExperimentConfig) -> RmseTable:
     rows: list[RmseRow] = []
     for method in config.methods:
         schedule = build_eis_schedule(config.base, config.rounds, config.shots, method)
-        grid = _GridLikelihood(method, schedule, config.noise, config.size)
+        grid = _GridLikelihood(method, [m for m, _ in schedule.rounds], config.noise, config.size)
         shots = np.array([s for _, s in schedule.rounds], dtype=float)
         for ti, a in enumerate(config.targets):
             theta = math.asin(math.sqrt(a))
@@ -483,7 +479,7 @@ def run_experiment(config: ExperimentConfig) -> RmseTable:
                 ti,
                 np.arange(config.repetitions),
             )
-            estimates = grid.fit_prefixes(hits, shots - hits)
+            estimates = grid.fit(hits, shots - hits, range(len(schedule)))
             rmse = np.sqrt(np.mean((estimates - theta) ** 2, axis=0))
             bounds = crb_curves(config, a, method)
             for k in range(len(schedule)):

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Method, _scalar_or_array, query_count
+from .model import Method, _scalar_or_array, derive_seed, query_count
 
 __all__ = [
     "UnitaryFactory",
@@ -71,17 +71,14 @@ MAX_AMPLIFICATIONS = 64
 _FD_STEP = 1e-5
 
 
-@lru_cache(maxsize=32)
 def _random_unitary(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-like unitary on n qubits: QR of a complex Ginibre matrix."""
     dim = 2**n
-    rng = np.random.Generator(np.random.Philox(key=np.random.SeedSequence([seed, n]).generate_state(1, np.uint64)[0]))
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, n)))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     # fix the phase ambiguity so the result is deterministic and unitary
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    q.setflags(write=False)
-    return q
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _ry(angle: float) -> np.ndarray:
@@ -489,8 +486,9 @@ def run_equivalence_suite(
     an evolution's cases is then one call or expression over all of
     ``m_values``: the read-outs take the snapshot stacks whole, and the
     closed-form references are evaluated over the same counts.  The whole
-    grid is checked before any work: every count must be an integer in
-    ``[0, MAX_AMPLIFICATIONS]`` (checked first), every register size in
+    grid is checked before any work: it must be non-empty (at least one
+    size, count and survival probability, and ``seeds >= 1``), every count
+    must be an integer in ``[0, MAX_AMPLIFICATIONS]``, every register size in
     ``[1, MAX_WORK_QUBITS]`` and every survival probability in ``(0, 1]``.
 
     ``perturb_r`` shrinks the survival probability used *inside the
@@ -499,6 +497,8 @@ def run_equivalence_suite(
     """
     if not 0.0 <= perturb_r < 1.0:
         raise ValueError(f"perturbation must lie in [0, 1), got {perturb_r}")
+    if not (len(n_values) and len(m_values) and len(r_values)) or seeds < 1:  # zero cases would pass unverified
+        raise ValueError(f"the oracle grid is empty ({n_values=}, {m_values=}, {r_values=}, {seeds=})")
     _amplification_counts(m_values)
     n_grid = np.array([operator.index(n) for n in n_values], dtype=np.int64)
     if np.any((n_grid < 1) | (n_grid > MAX_WORK_QUBITS)):

@@ -249,6 +249,9 @@ class TestOracleVerify:
         # finite, but the noiseless series 4*n_q**2 overflows
         pytest.param(["fisher-curves", "--nq-max", "1e300", "--nq-points", "3", "--n-qubits", "1"], None,
                      "must be finite", id="nq-max-overflow"),
+        # an empty list flag is refused by name, not read as zero rows or a bad value
+        pytest.param(["fisher-curves", "--n-qubits", ","], None, "at least one register size", id="n-qubits-empty"),
+        pytest.param(["simulate", "--targets", ","], None, "at least one target is required", id="targets-empty"),
         pytest.param(["simulate"], "5", "JSON object", id="config-number"),
         pytest.param(["oracle-verify"], "[1, 2]", "JSON object", id="config-array"),
     ],

@@ -167,16 +167,17 @@ class TestMle:
             mirror = log_likelihood(rec, math.pi / 2 - est, noise, size)
             assert mirror == pytest.approx(here, rel=1e-12, abs=1e-15)
         hits, misses = _counts(rec.outcomes)
-        prefix = _GridLikelihood(method, sched, noise, size).fit_prefixes(hits[None], misses[None])[0]
-        assert est == pytest.approx(prefix[-1], abs=1e-11)
+        ms = [m for m, _ in sched.rounds]
+        prefix = _GridLikelihood(method, ms, noise, size).fit(hits[None], misses[None], range(len(ms)))[0]
+        assert est == prefix[-1]  # one fit routine: the last prefix is the estimate, bit for bit
 
     def test_grid_follows_the_largest_query_count(self):
         # 32 points per period pi/n_q of the deepest round: 16 * (2*590 + 1)
         sched = build_eis_schedule(6 / 5, 37, 100, Method.G)
-        grid = _GridLikelihood(Method.G, sched, NoiseModel(0.99), SystemSize(100))
+        grid = _GridLikelihood(Method.G, [m for m, _ in sched.rounds], NoiseModel(0.99), SystemSize(100))
         assert len(grid.theta) == 18_896
         short = build_eis_schedule(6 / 5, 5, 100, Method.G)
-        assert len(_GridLikelihood(Method.G, short, NoiseModel(0.99), INFINITE).theta) == 4096
+        assert len(_GridLikelihood(Method.G, [m for m, _ in short.rounds], NoiseModel(0.99), INFINITE).theta) == 4096
 
     def test_refuses_schedule_the_grid_cannot_resolve(self):
         # 72 rounds reach n_q = 697,777: silently aliased on any affordable grid
@@ -235,9 +236,9 @@ class TestRunExperiment:
         sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
         theta = math.asin(math.sqrt(1 / 6))
         rec = sample_record(method, theta, sched, cfg.noise, cfg.size, cfg.master_seed, 0, ti, rep)
-        grid = _GridLikelihood(method, sched, cfg.noise, cfg.size)
+        grid = _GridLikelihood(method, [m for m, _ in sched.rounds], cfg.noise, cfg.size)
         hits, misses = _counts(rec.outcomes)
-        prefix_ests = grid.fit_prefixes(hits[None], misses[None])[0]
+        prefix_ests = grid.fit(hits[None], misses[None], range(len(sched)))[0]
         for k in (0, 3, 6):
             short = MeasurementRecord(method, rec.outcomes[: k + 1])
             assert prefix_ests[k] == pytest.approx(

@@ -426,8 +426,16 @@ class TestEquivalenceSuite:
 
     @pytest.mark.parametrize(
         "grid, message",
-        [(dict(n_values=(1, 9)), r"work-register sizes .* got \[1, 9\]"), (dict(r_values=(0.9, 1.5)), "got 1.5")],
-        ids=["n", "r"],
+        [
+            (dict(n_values=(1, 9)), r"work-register sizes .* got \[1, 9\]"),
+            (dict(r_values=(0.9, 1.5)), "got 1.5"),
+            # an empty grid has zero cases, which would pass without verifying anything
+            (dict(n_values=()), "grid is empty"),
+            (dict(m_values=()), "grid is empty"),
+            (dict(r_values=()), "grid is empty"),
+            (dict(seeds=0), "grid is empty"),
+        ],
+        ids=["n", "r", "no-n", "no-m", "no-r", "no-seeds"],
     )
     def test_rejects_bad_grid_before_any_evolution(self, monkeypatch, grid, message):
         def no_evolution(*args):
@@ -435,7 +443,7 @@ class TestEquivalenceSuite:
 
         monkeypatch.setattr(refsim, "evolve_with_derivative", no_evolution)
         with pytest.raises(ValueError, match=message):
-            run_equivalence_suite(seeds=1, **grid)
+            run_equivalence_suite(**{"seeds": 1, **grid})
 
     def test_fault_injection_is_detected(self):
         report = run_equivalence_suite(
