@@ -80,7 +80,7 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
 
 def _query_grid(nq_max: float, nq_points: int) -> np.ndarray:
     """``linspace(1, nq_max, nq_points)``, refused unless finite, non-empty and strictly increasing."""
-    # every series is at most the noiseless 4*n_q**2; rounding lifts classical_fisher up to 1.5x over it at r = 1
+    # every series is at most the noiseless 4*n_q**2, up to rounding; twice that bound must stay finite
     if not math.isfinite(8.0 * nq_max * nq_max):
         raise _UsageError(f"query grid and twice its noiseless bound, 8*nq-max**2, must be finite, got nq-max {nq_max}")
     grid = np.linspace(1.0, nq_max, nq_points)

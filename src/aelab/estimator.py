@@ -20,13 +20,18 @@ x distinct query counts, and a schedule whose tables would exceed
 ``TABLE_BUDGET`` is refused with a ``ValueError`` naming the largest
 supported query count, rather than estimated on a grid that aliases.
 
-One subtlety is baked into the fit: the modified-operator method only ever
-uses even query counts, whose outcome distributions are exactly invariant
-under ``theta -> pi/2 - theta``.  Its likelihood therefore always has two
+The grid is symmetric about ``pi/4``, which falls strictly between its two
+middle points, and the tables are evaluated on its lower half only.  The
+conventional method uses odd query counts, for which ``p1(pi/2 - theta) =
+1 - p1(theta)``: its upper half is the lower half reversed with the hit and
+miss tables exchanged.  The modified-operator method only ever uses even
+query counts, whose outcome distributions are exactly invariant under
+``theta -> pi/2 - theta``.  Its likelihood therefore always has two
 mirror-image global maxima, and floating-point noise would pick between
 them at random.  The estimator resolves the tie deterministically by always
-reporting the smaller angle, so targets with ``a > 1/2`` are mapped to their
-mirror image by construction.
+reporting the smaller angle: it scans only the lower half of the grid and
+folds the refined estimate onto (0, pi/4], so targets with ``a > 1/2`` are
+mapped to their mirror image by construction.
 """
 
 from __future__ import annotations
@@ -109,6 +114,8 @@ class ExperimentConfig:
             raise ValueError("targets must be amplitudes strictly inside (0, 1)")
         if not self.methods:
             raise ValueError("at least one method is required")
+        if Method.Q in self.methods and self.rounds < 2:
+            raise ValueError("method Q needs rounds >= 2: its first round (m = 0) carries no signal and is dropped")
 
 
 @dataclass(frozen=True)
@@ -194,10 +201,14 @@ class _GridLikelihood:
     The theta grid holds ``POINTS_PER_PERIOD`` points per period
     ``pi/n_q`` of the schedule's largest query count (at least
     ``MIN_GRID_POINTS``), and the per-round log-probability tables are built
-    once per distinct query count.  Both depend only on the rounds' query
-    counts ``ms``, so one instance serves every repetition and prefix of an
-    experiment cell.  Its one entry point, :meth:`fit`, scans each record
-    with a running in-place accumulation and refines all brackets batched.
+    once per distinct query count, evaluated on the grid points in (0, pi/4]
+    only.  For G a table's upper half is its lower half reversed with the
+    hit and miss tables exchanged; for Q the upper half is the same
+    likelihood again, so its tables and scan stop at pi/4.  Both depend only
+    on the rounds' query counts ``ms``, so one instance serves every
+    repetition and prefix of an experiment cell.  Its one entry point,
+    :meth:`fit`, scans each record with a running in-place accumulation and
+    refines all brackets batched.
     """
 
     def __init__(self, method: Method, ms, noise: NoiseModel, size: SystemSize) -> None:
@@ -219,20 +230,23 @@ class _GridLikelihood:
         edges = np.linspace(0.0, math.pi / 2, points + 2)
         self.theta = edges[1:-1]
         self._step = edges[1] - edges[0]
+        half = points // 2  # theta[half - 1] < pi/4 < theta[half], and theta[-1 - i] mirrors theta[i] about pi/4
         # one block for all tables, so glibc reuses its pages for the next instance rather than trim and re-fault them
-        tables = np.empty((distinct, 2, points))
+        tables = np.empty((distinct, 2, half if method is Method.Q else points))
         with np.errstate(divide="ignore"):
             for (lp1, lp0), k in zip(tables, first):
-                p1 = hit_probability(n_q[k] * self.theta, r_pow[k], floor[k])
-                np.log(p1, out=lp1)
-                np.log1p(-p1, out=lp0)
+                p1 = hit_probability(n_q[k] * self.theta[:half], r_pow[k], floor[k])
+                np.log(p1, out=lp1[:half])
+                np.log1p(-p1, out=lp0[:half])
+                if method is Method.G:  # odd query counts: p1(pi/2 - theta) = 1 - p1(theta)
+                    lp1[half:], lp0[half:] = lp0[half - 1 :: -1], lp1[half - 1 :: -1]
         self._logs = [tuple(tables[i]) for i in inverse]
 
     def _scan(self, hits: np.ndarray, misses: np.ndarray, ends: set[int]) -> list[int]:
         """Grid argmax index of one record's log-likelihood after each round
         index in ``ends``, in round order.  Ties resolve to the smallest angle.
         """
-        acc = np.zeros_like(self.theta)
+        acc = np.zeros_like(self._logs[0][0])
         tmp = np.empty_like(acc)
         best = []
         for k, ((lp1, lp0), h, m) in enumerate(zip(self._logs, hits, misses)):
@@ -307,7 +321,9 @@ class _GridLikelihood:
         ``(records, len(ends))``.  Records are scanned one at a time; the
         (record, end) brackets are refined together, in blocks of at most
         ``REFINE_BLOCK`` bracket x round terms.  Q's likelihood is exactly
-        mirror-symmetric about pi/4, so its estimates fold onto (0, pi/4].
+        mirror-symmetric about pi/4 and its scan covers (0, pi/4] only; the
+        one bracket that straddles pi/4 can refine past it, so its estimates
+        fold onto (0, pi/4].
         """
         records, rounds = hits.shape
         if rounds != len(self._logs):
@@ -329,9 +345,9 @@ def mle_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize 
     """Maximum-likelihood angle for a full record: the engine's one fit
     routine, asked for the record's last round only.
 
-    Grid scan over (0, pi/2) with first-occurrence (smallest theta)
-    tie-breaking, then the root of the analytic derivative inside the
-    bracketing grid interval, to 1e-12 (golden section on the likelihood
+    Grid scan over (0, pi/2) (over (0, pi/4] for Q) with first-occurrence
+    (smallest theta) tie-breaking, then the root of the analytic derivative
+    inside the bracketing grid interval, to 1e-12 (golden section on the likelihood
     when the maximum is pinned at a domain edge).  See the module docstring
     for the grid rule and the method-Q mirror fold.
     """

@@ -5,8 +5,9 @@ count ``n_q`` (the parity restriction to odd/even integers lives in the
 sampling layer; the curves are smooth in ``n_q``).  Writing
 ``R = r**n_q``, ``s = 1 - R`` and ``u = 1/d``:
 
-* classical, G:   ``4 n_q^2 sc^2 R^2 / [(1/2 + (c^2-1/2)R)(1/2 + (s^2-1/2)R)]``
-* classical, Q:   same numerator over ``[(u + (c^2-u)R)((1-u) + (s^2-(1-u))R)]``
+* classical, G:   ``4 n_q^2 sin^2 cos^2 R^2 / [(cos^2 R + s/2)(sin^2 R + s/2)]``
+* classical, Q:   same numerator over ``[(cos^2 R + u s)(sin^2 R + (1-u) s)]``
+  (``sin`` and ``cos`` of ``n_q theta``)
 * envelope, G:    ``4 n_q^2 R^2``
 * envelope, Q:    ``4 n_q^2 R^2 / (beta + alpha*s)^2`` with
   ``alpha = sqrt(u(1-u))`` and ``beta = sqrt((1-u*s)(R+u*s))``.  This is an
@@ -17,6 +18,13 @@ sampling layer; the curves are smooth in ``n_q``).  Writing
   the three terms cancel almost completely (deep decay, or d = 2 where the
   envelope collapses onto the G envelope exactly).
 * quantum (same for G and Q): ``4 n_q^2 R^2 / (2u + (1-2u)R)``.
+
+Each factor of a classical denominator is an outcome probability written
+as a sum of non-negative terms, with ``s`` from ``expm1``.  So a tiny
+``cos^2`` or ``sin^2`` survives near the angles where it vanishes, even at
+``r = 1``; the expanded ``1/2 + (cos^2 - 1/2) R`` would round it to the
+spacing of floats near 1/2 and lift the information up to 1.5x above
+``4 n_q^2`` there.
 
 The chain ``envelope_G <= envelope_Q <= quantum`` holds for every ``d``,
 with three-way equality at d = 2, and ``envelope_Q -> quantum`` pointwise
@@ -72,15 +80,15 @@ def classical_fisher(
     """
     _check_theta(theta)
     _check_n_q(n_q)
-    r_pow, _ = decay(noise.r, n_q)
+    r_pow, mixed = decay(noise.r, n_q)
     x = n_q * np.asarray(theta)
     s2 = np.square(np.sin(x))
     c2 = np.square(np.cos(x))
     if method is Method.G:
-        den = (0.5 + (c2 - 0.5) * r_pow) * (0.5 + (s2 - 0.5) * r_pow)
+        den = (c2 * r_pow + 0.5 * mixed) * (s2 * r_pow + 0.5 * mixed)
     else:
         u = size.inv_d
-        den = (u + (c2 - u) * r_pow) * ((1.0 - u) + (s2 - (1.0 - u)) * r_pow)
+        den = (c2 * r_pow + u * mixed) * (s2 * r_pow + (1.0 - u) * mixed)
     num = 4.0 * n_q * n_q * s2 * c2 * r_pow * r_pow
     return _ratio(num, den)
 

@@ -21,10 +21,36 @@ from aelab import (
     run_experiment,
     sample_record,
 )
-from aelab.estimator import _GridLikelihood, _counts, sample_hits
+from aelab.estimator import _GridLikelihood, _counts, _loglik, sample_hits
 from aelab.model import derive_seed, sample_round
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
+
+# odd shots: no round has hits == misses, so G's likelihood never ties exactly with its mirror
+HALF_GRID_SHOTS = 99
+half_grid_cases = dict(
+    r=st.floats(min_value=0.9, max_value=1.0),
+    size=st.sampled_from([SystemSize(2), SystemSize(3), SystemSize(100), INFINITE]),
+    rounds=st.integers(min_value=2, max_value=20),
+    hits=st.lists(st.integers(min_value=0, max_value=HALF_GRID_SHOTS), min_size=20, max_size=20),
+)
+
+
+def random_record(method: Method, rounds: int, hits) -> MeasurementRecord:
+    """``rounds`` rounds of the base-6/5 schedule (Q's m = 0 round dropped) with the given hits."""
+    sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), HALF_GRID_SHOTS, method)
+    return MeasurementRecord(method, tuple(RoundOutcome(m, s, h) for (m, s), h in zip(sched.rounds, hits)))
+
+
+def full_grid_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize) -> float:
+    """The estimate the long way: the log-likelihood at every point of the
+    engine's grid over (0, pi/2), its first argmax, the engine's bracket
+    refinement, and the fold onto (0, pi/4] for Q."""
+    grid = _GridLikelihood(record.method, [oc.m for oc in record.outcomes], noise, size)
+    hits, misses = _counts(record.outcomes)
+    center = grid.theta[np.argmax(_loglik(grid.theta, grid.terms, hits, misses))]
+    est = float(grid._refine(np.array([center]), hits[None], misses[None])[0])
+    return min(est, math.pi / 2 - est) if record.method is Method.Q else est
 
 
 class TestSchedule:
@@ -171,6 +197,31 @@ class TestMle:
         prefix = _GridLikelihood(method, ms, noise, size).fit(hits[None], misses[None], range(len(ms)))[0]
         assert est == prefix[-1]  # one fit routine: the last prefix is the estimate, bit for bit
 
+    @settings(max_examples=60, deadline=None)
+    @given(method=st.sampled_from(Method), **half_grid_cases)
+    def test_half_grid_matches_a_full_grid_scan(self, method, r, size, rounds, hits):
+        rec = random_record(method, rounds, hits)
+        est = mle_estimate(rec, NoiseModel(r), size)
+        assert est == pytest.approx(full_grid_estimate(rec, NoiseModel(r), size), abs=1e-10)
+        if method is Method.Q:
+            assert est <= math.pi / 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(**half_grid_cases)
+    def test_g_swapping_hits_and_misses_mirrors_the_estimate(self, r, size, rounds, hits):
+        # odd query counts: p1(pi/2 - theta) = 1 - p1(theta)
+        rec = random_record(Method.G, rounds, hits)
+        swapped = tuple(RoundOutcome(oc.m, oc.shots, oc.shots - oc.hits) for oc in rec.outcomes)
+        est = mle_estimate(rec, NoiseModel(r), size)
+        mirror = math.pi / 2 - mle_estimate(MeasurementRecord(Method.G, swapped), NoiseModel(r), size)
+        step = _GridLikelihood(Method.G, [oc.m for oc in rec.outcomes], NoiseModel(r), size)._step
+        if step < est < math.pi / 2 - step:
+            assert mirror == pytest.approx(est, abs=1e-10)
+        else:
+            # a maximum pinned at a domain edge: the scan still picks the mirrored edge bracket, but
+            # near pi/2 log(p1) is flat to rounding within ~1e-8, so golden section resolves only that far
+            assert mirror == pytest.approx(est, abs=step)
+
     def test_grid_follows_the_largest_query_count(self):
         # 32 points per period pi/n_q of the deepest round: 16 * (2*590 + 1)
         sched = build_eis_schedule(6 / 5, 37, 100, Method.G)
@@ -190,7 +241,7 @@ class TestMle:
 class TestCrbCurves:
     def test_single_round_value(self):
         cfg = ExperimentConfig(
-            targets=(0.25,), noise=NoiseModel(1.0), size=INFINITE, rounds=1, repetitions=1
+            targets=(0.25,), noise=NoiseModel(1.0), size=INFINITE, rounds=1, repetitions=1, methods=(Method.G,)
         )
         bounds = crb_curves(cfg, 0.25, Method.G)
         assert bounds.classical[0] == pytest.approx(0.05, rel=1e-12)
@@ -275,6 +326,13 @@ class TestRunExperiment:
                     assert [oc.hits for oc in sample_record(*args, rep).outcomes] == hits[rep].tolist()
                 digest.update(hits.astype("<i8").tobytes())
         assert digest.hexdigest() == "a108d70d09b53bf928c2fa75016472103321cb5f3a20074cd736558b90e4ab27"
+
+    def test_refuses_method_q_with_one_round(self):
+        # Q drops the m = 0 round, so one round leaves it nothing to fit; refused before any cell runs
+        for methods in ((Method.Q,), (Method.G, Method.Q)):
+            with pytest.raises(ValueError, match="method Q needs rounds >= 2"):
+                ExperimentConfig(rounds=1, methods=methods)
+        assert ExperimentConfig(rounds=1, methods=(Method.G,)).rounds == 1
 
     def test_rejects_negative_master_seed(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -58,6 +58,18 @@ class TestClassicalFisher:
         with pytest.raises(ValueError):
             classical_fisher(Method.G, 0.3, 0, NoiseModel(0.9))
 
+    def test_bounded_by_quantum_near_degenerate_angles_at_r_one(self):
+        # within 2e-8 of 0 and pi/2, sin or cos of n_q*theta nearly vanishes; the
+        # denominators must not cancel there and lift the value above 4*n_q**2
+        eps = np.linspace(1e-9, 2e-8, 200)
+        n_q = np.array([1.0, 2.0, 3.0])[:, None]
+        noise = NoiseModel(1.0)
+        for size in (SystemSize(1), SystemSize(2), SystemSize(100), INFINITE):
+            bound = quantum_fisher(n_q, noise, size) * (1 + 1e-15)
+            for method in Method:
+                for theta in (eps, math.pi / 2 - eps):
+                    assert np.all(classical_fisher(method, theta, n_q, noise, size) <= bound)
+
     def test_envelope_dominates(self):
         rng = np.random.default_rng(11)
         for method in Method:
