@@ -14,6 +14,12 @@ flag name with underscores (``n_qubits``, ``nq_max``); it stands for the flags
 it names, each value a string or a number that is parsed as that flag's text
 would be.  The command line beats the file, and the file beats the default.
 
+An output's metadata is the tool, the command, then every flag of that
+command except ``--out``, ``--format`` and ``--config``, in declaration
+order and as parsed (list flags keep their text).  Those are the keys a
+``--config`` file accepts, taken from the same action list, so the metadata
+without ``tool`` and ``command`` is a config file that reruns the command.
+
 Exit status: 0 on success, 1 on a usage error, 2 on verification failure.
 Output files are byte-identical across reruns of the same configuration and
 seed; timing goes to stderr only.
@@ -91,25 +97,26 @@ def _query_grid(nq_max: float, nq_points: int) -> np.ndarray:
     return grid
 
 
-def _write_rows(path: str, fmt: str, metadata: dict, fieldnames: list[str], rows: list[dict]) -> None:
-    if fmt == "json":
-        payload = {"metadata": metadata, "rows": rows}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+def _flags(parser: _Parser) -> dict[str, str]:
+    """Option string of each flag of a subcommand by its dest, in declaration order, except --help and --config."""
+    return {a.dest: a.option_strings[-1] for a in parser._actions if a.dest not in ("help", "config")}
+
+
+def _write_rows(args: argparse.Namespace, fieldnames: list[str], rows: list[dict]) -> None:
+    """``rows`` to ``--out`` in ``--format``, headed by the tool, the command and every other flag as parsed."""
+    metadata = {"tool": f"aelab {__version__}", "command": args.command}
+    metadata.update((k, getattr(args, k)) for k in _flags(args.parser) if k not in ("out", "format"))
+    if args.format == "json":
+        with open(args.out, "w") as fh:
+            json.dump({"metadata": metadata, "rows": rows}, fh, indent=2)
             fh.write("\n")
         return
-    with open(path, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         for key, value in metadata.items():
             fh.write(f"# {key}={value}\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _metadata(command: str, params: dict) -> dict:
-    meta = {"tool": f"aelab {__version__}", "command": command}
-    meta.update(params)
-    return meta
 
 
 def cmd_fisher_curves(args: argparse.Namespace) -> int:
@@ -140,18 +147,7 @@ def cmd_fisher_curves(args: argparse.Namespace) -> int:
                 {"n_q": float(nq), "value": float(v), "series_label": f"{label}@n={tag}"}
                 for nq, v in zip(grid, values)
             )
-    meta = _metadata(
-        "fisher-curves",
-        {
-            "r": noise.r,
-            "n_qubits": cfg["n_qubits"],
-            "thetas": cfg["thetas"],
-            "methods": cfg["methods"],
-            "nq_max": cfg["nq_max"],
-            "nq_points": cfg["nq_points"],
-        },
-    )
-    _write_rows(cfg["out"], cfg["format"], meta, ["n_q", "value", "series_label"], rows)
+    _write_rows(args, ["n_q", "value", "series_label"], rows)
     print(f"wrote {len(rows)} curve points to {cfg['out']}")
     return 0
 
@@ -172,22 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     table = run_experiment(config)
     elapsed = time.perf_counter() - t0
-    meta = _metadata(
-        "simulate",
-        {
-            "r": config.noise.r,
-            "n_qubits": "inf" if config.size.is_infinite else config.size.n,
-            "targets": cfg["targets"],
-            "base": config.base,
-            "rounds": config.rounds,
-            "shots": config.shots,
-            "reps": config.repetitions,
-            "seed": config.master_seed,
-            "methods": cfg["methods"],
-        },
-    )
-    fields = [f.name for f in dataclasses.fields(RmseRow)]
-    _write_rows(cfg["out"], cfg["format"], meta, fields, table.as_dicts())
+    _write_rows(args, [f.name for f in dataclasses.fields(RmseRow)], table.as_dicts())
     print(f"wrote {len(table.rows)} rows to {cfg['out']}", file=sys.stdout)
     print(f"simulate finished in {elapsed:.1f}s", file=sys.stderr)
     return 0
@@ -225,17 +206,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
                 "status": "pass" if case.passed else "FAIL: " + "; ".join(case.failures),
             }
         )
-    meta = _metadata(
-        "oracle-verify",
-        {
-            "n_qubits": cfg["n_qubits"],
-            "m_values": cfg["m_values"],
-            "r_values": cfg["r_values"],
-            "seeds": cfg["seeds"],
-            "seed": cfg["seed"],
-        },
-    )
-    _write_rows(cfg["out"], cfg["format"], meta, list(rows[0]), rows)
+    _write_rows(args, list(rows[0]), rows)
     print(
         f"{report.n_cases} cases, {report.n_failed} failures; "
         f"max probability dev {report.worst('prob_dev'):.3e}, "
@@ -263,13 +234,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="aelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"aelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # main reaches a subcommand's parser here to read its --config file
-    parser.commands = sub.choices
 
-    def common(p: _Parser, out: str) -> None:
+    def common(p: _Parser, out: str, func) -> None:
         p.add_argument("--out", default=out, help="output file path (default %(default)s)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default %(default)s)")
         p.add_argument("--config", help="JSON object of flag values, keyed by flag name with underscores")
+        # the subcommand's own parser: its flags are what a --config file may name and what an output records
+        p.set_defaults(func=func, parser=p)
 
     p = sub.add_parser("fisher-curves", help="information-vs-queries curve data")
     p.add_argument("--r", type=float, default=0.99, help="depolarizing survival probability (default %(default)s)")
@@ -287,8 +258,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="both", help="g, q or both (default %(default)s)")
     p.add_argument("--nq-max", type=float, default=1000.0, help="grid's largest query count (default %(default)s)")
     p.add_argument("--nq-points", type=int, default=1000, help="number of grid points (default %(default)s)")
-    common(p, "fisher_curves.csv")
-    p.set_defaults(func=cmd_fisher_curves)
+    common(p, "fisher_curves.csv", cmd_fisher_curves)
 
     ref = ExperimentConfig()
     p = sub.add_parser("simulate", help="Monte-Carlo RMSE experiment")
@@ -307,8 +277,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=ref.repetitions, help="Monte-Carlo repetitions (default %(default)s)")
     p.add_argument("--seed", type=int, default=ref.master_seed, help="master seed (default %(default)s)")
     p.add_argument("--methods", default="both", help="g, q or both (default %(default)s)")
-    common(p, "rmse_table.csv")
-    p.set_defaults(func=cmd_simulate)
+    common(p, "rmse_table.csv", cmd_simulate)
 
     p = sub.add_parser("oracle-verify", help="density-matrix simulator vs closed forms")
     p.add_argument(
@@ -328,8 +297,7 @@ def build_parser() -> _Parser:
         default=0.0,
         help="shrink r inside the simulator only; nonzero values must make the suite fail (default %(default)s)",
     )
-    common(p, "oracle_verify.csv")
-    p.set_defaults(func=cmd_oracle_verify)
+    common(p, "oracle_verify.csv", cmd_oracle_verify)
 
     p = sub.add_parser("breakeven", help="readout-error break-even register size")
     p.add_argument("eps", type=float, help="per-qubit readout error probability, in (0, 1)")
@@ -344,7 +312,7 @@ def _config_flags(parser: _Parser, path: str) -> list[str]:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
         raise _UsageError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
-    flags = {a.dest: a.option_strings[-1] for a in parser._actions if a.dest not in ("help", "config")}
+    flags = _flags(parser)
     unknown = set(file_cfg) - flags.keys()
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -363,7 +331,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # argparse keeps a flag's last value: command line > file > default
             at = argv.index(args.command) + 1
-            file_flags = _config_flags(parser.commands[args.command], args.config)
+            file_flags = _config_flags(args.parser, args.config)
             args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fisher import classical_fisher, golden_max, quantum_fisher
+from .fisher import classical_fisher, quantum_fisher
 from .model import (
     INFINITE,
     Method,
@@ -81,7 +81,6 @@ MIN_GRID_POINTS = 4096
 TABLE_BUDGET = 1 << 22  # grid points x distinct query counts in the log-probability tables
 ROOT_TOL = 1e-12  # derivative root
 MAX_ROOT_STEPS = 100
-REFINE_TOL = 1e-10  # golden-section fallback
 REFINE_BLOCK = 1 << 20  # bracket x round terms evaluated together by the batched refinement
 
 
@@ -265,21 +264,17 @@ class _GridLikelihood:
         log-likelihood is flat to floating-point noise within ~1e-8 of the
         maximum, so the stationary point is located as the sign change of
         the analytic derivative, which stays well conditioned down to
-        machine precision.  Golden section on the log-likelihood is the
-        fallback when a bracket holds no sign change (maximum pinned at a
-        domain edge).
+        machine precision; an infinite derivative counts by its sign.  A
+        bracket with no + to - sign change (maximum pinned at a domain edge)
+        returns the end its derivative rises toward: ``hi`` where the
+        derivative there is >= 0, ``lo`` otherwise.
         """
         lo = np.maximum(centers - self._step, 1e-12)
         hi = np.minimum(centers + self._step, math.pi / 2 - 1e-12)
         d_lo, d_hi = _loglik(np.stack([lo, hi]), self.terms, hits, misses, derivatives=True)[0]
-        sign_change = np.isfinite(d_lo) & np.isfinite(d_hi) & (d_lo > 0.0) & (d_hi < 0.0)
-        est = np.empty_like(centers)
-        idx = np.flatnonzero(sign_change)
+        est = np.where(d_hi >= 0.0, hi, lo)
+        idx = np.flatnonzero((d_lo > 0.0) & (d_hi < 0.0))
         est[idx] = self._newton(centers[idx], lo[idx], hi[idx], hits[idx], misses[idx])
-        for i in np.flatnonzero(~sign_change):
-            est[i] = golden_max(
-                lambda t: float(_loglik(t, self.terms, hits[i], misses[i])), lo[i], hi[i], REFINE_TOL
-            )[0]
         return est
 
     def _newton(self, x, lo, hi, hits, misses) -> np.ndarray:
@@ -347,8 +342,8 @@ def mle_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize 
 
     Grid scan over (0, pi/2) (over (0, pi/4] for Q) with first-occurrence
     (smallest theta) tie-breaking, then the root of the analytic derivative
-    inside the bracketing grid interval, to 1e-12 (golden section on the likelihood
-    when the maximum is pinned at a domain edge).  See the module docstring
+    inside the bracketing grid interval, to 1e-12; a maximum pinned at a
+    domain edge returns that edge, 1e-12 or pi/2 - 1e-12.  See the module docstring
     for the grid rule and the method-Q mirror fold.
     """
     grid = _GridLikelihood(record.method, [oc.m for oc in record.outcomes], noise, size)

@@ -330,7 +330,32 @@ class TestConfigFile:
         assert run_cli(command, "--config", str(cfg)) == 0
         assert json.loads(out.read_text())["rows"]
 
-    @pytest.mark.parametrize("key", ["config", "command", "func", "help", "n-qubits"])
+    # (command, a small run that sets flags away from their defaults, its exit status)
+    RERUNS = [
+        pytest.param("fisher-curves", ["--r", "0.95", "--n-qubits", "1,inf", "--thetas", "0.1,1/7", "--nq-max", "20",
+                                       "--nq-points", "7"], 0, id="fisher-curves"),
+        pytest.param("simulate", ["--r", "0.97", "--n-qubits", "inf", "--targets", "1/3,1/12", "--base", "1.5",
+                                  "--rounds", "4", "--shots", "20", "--reps", "2", "--seed", "5"], 0, id="simulate"),
+        # a perturbed simulator fails verification, and its file must say so to rerun it
+        pytest.param("oracle-verify", ["--n-qubits", "1", "--m-values", "0,1", "--r-values", "1,0.9", "--seeds", "1",
+                                       "--selftest-perturb-r", "0.01"], 2, id="oracle-verify"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, flags, status", RERUNS)
+    def test_metadata_is_a_config_that_reruns(self, tmp_path, command, flags, status, fmt):
+        cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.out", tmp_path / "b.out"
+        assert run_cli(command, *flags, "--format", fmt, "--out", str(a)) == status
+        if fmt == "json":
+            meta = json.loads(a.read_text())["metadata"]
+        else:
+            meta = dict(c.partition("=")[::2] for c in read_csv(a)[0])
+        assert meta.pop("tool").startswith("aelab ") and meta.pop("command") == command
+        cfg.write_text(json.dumps(meta))
+        assert run_cli(command, "--config", str(cfg), "--format", fmt, "--out", str(b)) == status
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("key", ["config", "command", "func", "parser", "help", "n-qubits"])
     def test_non_flag_key_is_refused(self, tmp_path, capsys, key):
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg.write_text(json.dumps({key: "x"}))

@@ -214,13 +214,17 @@ class TestMle:
         swapped = tuple(RoundOutcome(oc.m, oc.shots, oc.shots - oc.hits) for oc in rec.outcomes)
         est = mle_estimate(rec, NoiseModel(r), size)
         mirror = math.pi / 2 - mle_estimate(MeasurementRecord(Method.G, swapped), NoiseModel(r), size)
-        step = _GridLikelihood(Method.G, [oc.m for oc in rec.outcomes], NoiseModel(r), size)._step
-        if step < est < math.pi / 2 - step:
-            assert mirror == pytest.approx(est, abs=1e-10)
-        else:
-            # a maximum pinned at a domain edge: the scan still picks the mirrored edge bracket, but
-            # near pi/2 log(p1) is flat to rounding within ~1e-8, so golden section resolves only that far
-            assert mirror == pytest.approx(est, abs=step)
+        assert mirror == pytest.approx(est, abs=1e-10)
+
+    @pytest.mark.parametrize("r", [1.0, 0.95])
+    def test_edge_pinned_maximum_is_the_edge(self, r):
+        # near pi/2 log(p1) is flat to rounding within ~1e-8, so only the derivative's sign finds this edge
+        def estimate(hits):
+            rec = MeasurementRecord(Method.G, (RoundOutcome(0, 99, hits), RoundOutcome(1, 99, hits)))
+            return mle_estimate(rec, NoiseModel(r), SystemSize(2))
+
+        assert estimate(99) == math.pi / 2 - 1e-12
+        assert estimate(0) == 1e-12
 
     def test_grid_follows_the_largest_query_count(self):
         # 32 points per period pi/n_q of the deepest round: 16 * (2*590 + 1)
