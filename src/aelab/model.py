@@ -25,7 +25,9 @@ large registers exactly representable in double precision.
 Every closed form broadcasts over ``theta`` and ``m`` with numpy rules; a
 scalar call returns a Python number equal, bit for bit, to the array call's
 element.  :func:`decay` and :func:`hit_probability` are the single kernels
-that the estimator and the Fisher layer share.
+that the estimator and the Fisher layer share; the estimator's likelihood
+tables, which build ``sin^2`` their own way, finish it with the same
+:func:`p1_from_sin2`.
 
 Sampling is counter-keyed.  A round's seed is a pure function of its path:
 round ``j`` of repetition ``rep`` of target ``ti`` for the method with seed
@@ -193,10 +195,20 @@ def decay(r: float, n_q):
 
 
 def hit_probability(x, r_pow, floor):
-    """``R*sin^2(x) + floor`` at phase ``x = n_q*theta``, clipped to [0, 1]
-    against the <= 1 ulp spill of the multiply-add."""
+    """``R*sin^2(x) + floor`` at phase ``x = n_q*theta``: :func:`p1_from_sin2` of ``sin^2(x)``."""
     # np.square, not ** 2: on a numpy scalar ** 2 calls pow, which can miss the array result by 1 ulp
-    return np.minimum(np.maximum(r_pow * np.square(np.sin(x)) + floor, 0.0), 1.0)
+    return p1_from_sin2(np.square(np.sin(x)), r_pow, floor)
+
+
+def p1_from_sin2(s2, r_pow, floor, out=None):
+    """``R*s2 + floor`` for ``s2 = sin^2(n_q*theta)``, clipped at 1 against the
+    <= 1 ulp spill of the multiply-add; ``out``, if given, receives the result.
+
+    No clip is needed below: ``R = exp(n_q*ln r) >= 0``, ``s2 >= 0`` and the
+    floor lies in [-0.0, 1], so the sum is never negative.
+    """
+    p1 = np.add(np.multiply(s2, r_pow, out=out), floor, out=out)
+    return np.minimum(p1, 1.0, out=out)
 
 
 def prob_terms(method: Method, m, noise: NoiseModel, size: SystemSize = INFINITE):

@@ -22,7 +22,7 @@ from aelab import (
     sample_record,
 )
 from aelab.estimator import _GridLikelihood, _counts, _loglik, sample_hits
-from aelab.model import derive_seed, sample_round
+from aelab.model import derive_seed, hit_probability, sample_round
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
 
@@ -240,6 +240,39 @@ class TestMle:
         rec = MeasurementRecord(Method.G, tuple(RoundOutcome(m, s, s // 2) for m, s in sched.rounds))
         with pytest.raises(ValueError, match="largest supported query count is"):
             mle_estimate(rec, NoiseModel(1.0))
+
+
+class TestLikelihoodTables:
+    @pytest.mark.parametrize("rounds", [15, 37])
+    @pytest.mark.parametrize("size", [SystemSize(2), SystemSize(100), INFINITE], ids=["2q", "100q", "inf"])
+    @pytest.mark.parametrize("r", [0.9, 0.99, 1.0])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_tables_match_the_closed_form(self, method, r, size, rounds):
+        # compared in probability space: where p1 rounds to within ulps of 1 log1p(-p1) is ill-conditioned,
+        # and at r = 1 an exact zero of p1 can come out of the rounding as a tiny positive value
+        ms = [m for m, _ in build_eis_schedule(6 / 5, rounds, 100, method).rounds]
+        grid = _GridLikelihood(method, ms, NoiseModel(r), size)
+        half = len(grid.theta) // 2
+        assert grid.theta[half - 1] < math.pi / 4 < grid.theta[half]
+        n_q, r_pow, floor = grid.terms
+        for k, (lp1, lp0) in enumerate(grid._logs):
+            assert len(lp1) == (len(grid.theta) if method is Method.G else half)  # Q's rows stop at pi/4
+            p1 = hit_probability(n_q[k] * grid.theta[: len(lp1)], r_pow[k], floor[k])
+            assert np.max(np.abs(np.exp(lp1) - p1)) <= 1e-12
+            assert np.max(np.abs(np.exp(lp0) - (1.0 - p1))) <= 1e-12
+            if method is Method.G:  # the upper half mirrors the lower with hit and miss exchanged
+                assert np.array_equal(lp1[half:], lp0[half - 1 :: -1])
+                assert np.array_equal(lp0[half:], lp1[half - 1 :: -1])
+
+    @pytest.mark.parametrize("ends", [[9, 9], [9, 3], [12], [10], [-1], [], [2.0], [[1, 2]]])
+    def test_fit_refuses_ends_outside_the_schedule(self, ends):
+        ms = [m for m, _ in build_eis_schedule(6 / 5, 10, 100, Method.G).rounds]
+        grid = _GridLikelihood(Method.G, ms, NoiseModel(0.99), SystemSize(100))
+        hits = np.tile(np.arange(40.0, 80.0, 4.0), (2, 1))
+        every = grid.fit(hits, 100.0 - hits, range(10))
+        assert np.array_equal(grid.fit(hits, 100.0 - hits, [3, 9]), every[:, [3, 9]])
+        with pytest.raises(ValueError, match="strictly increasing round indices in \\[0, 10\\)"):
+            grid.fit(hits, 100.0 - hits, ends)
 
 
 class TestCrbCurves:

@@ -114,6 +114,20 @@ class TestProbGood:
                 p0 = r_pow * np.cos(n_q * theta) ** 2 + (mixed - floor)
                 assert np.all(np.abs(p0 + p1 - 1.0) <= 1e-15)
 
+    @given(
+        theta=st.floats(min_value=0.0, max_value=math.pi / 2),
+        m=st.integers(min_value=0, max_value=4999),
+        r=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        size=st.one_of(st.integers(min_value=1, max_value=2000).map(SystemSize), st.just(INFINITE)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_unclipped_hit_probability_is_never_negative(self, theta, m, r, size):
+        # why p1_from_sin2 clips above only: R >= 0, sin^2 >= 0 and the floor lies in [-0.0, 1]
+        for method in Method:
+            n_q, r_pow, floor = prob_terms(method, m, NoiseModel(r), size)
+            for s2 in (0.0, np.square(np.sin(n_q * theta))):
+                assert r_pow * s2 + floor >= 0.0
+
     @given(theta=thetas, m=st.integers(min_value=0, max_value=300))
     @settings(max_examples=100, deadline=None)
     def test_noiseless_reduction(self, theta, m):
