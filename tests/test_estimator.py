@@ -21,7 +21,7 @@ from aelab import (
     run_experiment,
     sample_record,
 )
-from aelab.estimator import _GridLikelihood, _counts, _loglik, sample_hits
+from aelab.estimator import _METHOD_CODE, _GridLikelihood, _counts, _loglik, sample_hits
 from aelab.model import derive_seed, hit_probability, sample_round
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
@@ -51,6 +51,33 @@ def full_grid_estimate(record: MeasurementRecord, noise: NoiseModel, size: Syste
     center = grid.theta[np.argmax(_loglik(grid.theta, grid.terms, hits, misses))]
     est = float(grid._refine(np.array([center]), hits[None], misses[None])[0])
     return min(est, math.pi / 2 - est) if record.method is Method.Q else est
+
+
+def full_scan(grid: _GridLikelihood, hits, misses, ends) -> list[int]:
+    """The unpruned grid scan: every round accumulates over the whole grid,
+    and the argmax after each round in ``ends`` is taken over all of it."""
+    acc = np.zeros_like(grid._logs[0][0])
+    tmp = np.empty_like(acc)
+    best = []
+    for k, ((lp1, lp0), h, m) in enumerate(zip(grid._logs, hits, misses)):
+        if h:
+            acc += np.multiply(lp1, h, out=tmp)
+        if m:
+            acc += np.multiply(lp0, m, out=tmp)
+        if k in ends:
+            best.append(int(np.argmax(acc)))
+    return best
+
+
+def full_scan_fit(grid: _GridLikelihood, hits, misses, ends) -> np.ndarray:
+    """``grid.fit`` with :func:`full_scan` in place of the engine's scan: the
+    same refinement of every (record, end) bracket in one batch, and Q's fold."""
+    ends = np.asarray(ends)
+    centers = grid.theta[[full_scan(grid, h, m, set(ends.tolist())) for h, m in zip(hits, misses)]].ravel()
+    rec, end = np.divmod(np.arange(len(centers)), len(ends))
+    upto = np.arange(hits.shape[1]) <= ends[end][:, None]
+    est = grid._refine(centers, hits[rec] * upto, misses[rec] * upto).reshape(len(hits), len(ends))
+    return np.minimum(est, math.pi / 2 - est) if grid.method is Method.Q else est
 
 
 class TestSchedule:
@@ -273,6 +300,62 @@ class TestLikelihoodTables:
         assert np.array_equal(grid.fit(hits, 100.0 - hits, [3, 9]), every[:, [3, 9]])
         with pytest.raises(ValueError, match="strictly increasing round indices in \\[0, 10\\)"):
             grid.fit(hits, 100.0 - hits, ends)
+
+
+class TestPrunedScan:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        r=st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.0)),
+        size=st.sampled_from([SystemSize(2), SystemSize(3), SystemSize(100), INFINITE]),
+        rounds=st.integers(min_value=1, max_value=37),
+        shots=st.one_of(st.sampled_from([1, 2, 100, 1_000_000]), st.integers(min_value=1, max_value=1_000_000)),
+        kind=st.sampled_from(["sampled", "uniform", "all hits", "all misses", "even split"]),
+        theta=st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
+        seed=st.integers(min_value=0, max_value=2**32),
+        end=st.integers(min_value=0, max_value=36),
+    )
+    def test_matches_the_full_grid_scan(self, method, r, size, rounds, shots, kind, theta, seed, end):
+        # the argmax at every prefix, as fit(..., range(rounds)) asks, and at one end, as mle_estimate asks
+        noise = NoiseModel(r)
+        sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), shots, method)
+        grid = _GridLikelihood(method, [m for m, _ in sched.rounds], noise, size)
+        if kind == "sampled":
+            hits = sample_hits(method, theta, sched, noise, size, seed).astype(float)
+        elif kind == "uniform":
+            hits = np.random.default_rng(seed).integers(0, shots, size=rounds, endpoint=True).astype(float)
+        else:
+            hits = np.full(rounds, {"all hits": shots, "all misses": 0, "even split": shots // 2}[kind], dtype=float)
+        misses = shots - hits
+        for ends in (set(range(rounds)), {end % rounds}):
+            assert grid._scan(hits, misses, ends) == full_scan(grid, hits, misses, ends)
+
+    @pytest.mark.parametrize("shots", [2, 100, 1_000_000])
+    def test_rounding_alone_decides_a_zero_slack_bound(self, shots):
+        # at r = 0.5, R = r**n_q is below 1e-17 from round 20 on, so every G grid point has p1 = 1/2 exactly;
+        # rounds with hits = misses then add exactly their saturated term everywhere, the bound's slack is zero,
+        # and G's mirror points tie up to rounding: only the prune margin keeps the argmax (and c) in the window
+        ms = [m for m, _ in build_eis_schedule(6 / 5, 37, shots, Method.G).rounds]
+        grid = _GridLikelihood(Method.G, ms, NoiseModel(0.5), INFINITE)
+        hits = np.full(37, shots / 2)
+        for ends in (set(range(37)), {36}):
+            assert grid._scan(hits, hits, ends) == full_scan(grid, hits, hits, ends)
+
+    def test_experiment_cells_match_the_full_grid_scan(self):
+        # run_experiment's RMSE, bit for bit, from estimates of the full-grid scan, the refinement and Q's fold
+        cfg = ExperimentConfig(targets=(2 / 3, 1 / 6, 1 / 48), rounds=14, repetitions=8, master_seed=19)
+        table = run_experiment(cfg)
+        for method in cfg.methods:
+            sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
+            grid = _GridLikelihood(method, [m for m, _ in sched.rounds], cfg.noise, cfg.size)
+            shots = np.array([s for _, s in sched.rounds], dtype=float)
+            for ti, a in enumerate(cfg.targets):
+                theta = math.asin(math.sqrt(a))
+                cell = (cfg.master_seed, _METHOD_CODE[method], ti, np.arange(cfg.repetitions))
+                hits = sample_hits(method, theta, sched, cfg.noise, cfg.size, *cell)
+                estimates = full_scan_fit(grid, hits, shots - hits, range(len(sched)))
+                rmse = np.sqrt(np.mean((estimates - theta) ** 2, axis=0))
+                assert [row.rmse for row in table.select(method, a)] == rmse.tolist()
 
 
 class TestCrbCurves:
