@@ -61,7 +61,7 @@ scan's grid point x round work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,6 +74,7 @@ from .model import (
     Schedule,
     SystemSize,
     _check_theta,
+    _count_column,
     derive_seed,  # noqa: F401  perfbench/layers.py traces aelab.estimator.derive_seed
     draw_hits,
     hit_probability,
@@ -146,14 +147,25 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """All round outcomes of one repetition for one method."""
+    """All round outcomes of one repetition for one method, and the same
+    counts as columns: ``schedule`` and a read-only int64 ``hits``, checked
+    here once (the schedule's rules, ``0 <= hits <= shots``, no ``m = 0``
+    round for method Q)."""
 
     method: Method
     outcomes: tuple[RoundOutcome, ...]
+    schedule: Schedule = field(init=False, repr=False, compare=False)
+    hits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.method is Method.Q and any(oc.m == 0 for oc in self.outcomes):
+        schedule = Schedule([oc.m for oc in self.outcomes], [oc.shots for oc in self.outcomes])
+        hits = _count_column([oc.hits for oc in self.outcomes])
+        bad = np.flatnonzero((hits < 0) | (hits > schedule.shots))
+        if len(bad):
+            raise ValueError(f"hits must lie in [0, {schedule.shots[bad[0]]}], got {hits[bad[0]]}")
+        if self.method is Method.Q and np.count_nonzero(schedule.ms == 0):
             raise ValueError("zero-amplification rounds carry no signal for method Q and must be dropped")
+        self.__dict__.update(schedule=schedule, hits=hits)
 
 
 def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method) -> Schedule:
@@ -168,14 +180,7 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     ms = [math.floor(base ** (k - 1)) for k in range(num_rounds)]
     if method is Method.Q:
         ms = [m for m in ms if m > 0]
-    return Schedule(rounds=tuple((m, shots) for m in ms))
-
-
-def _counts(outcomes) -> tuple[np.ndarray, np.ndarray]:
-    """Hit and miss counts per round."""
-    hits = np.array([oc.hits for oc in outcomes], dtype=float)
-    misses = np.array([oc.shots - oc.hits for oc in outcomes], dtype=float)
-    return hits, misses
+    return Schedule(ms, [shots] * len(ms))
 
 
 def _loglik(theta, terms, hits, misses, derivatives: bool = False):
@@ -217,8 +222,8 @@ def log_likelihood(
     if not record.outcomes:
         raise ValueError("record holds no rounds")
     _check_theta(theta)
-    terms = prob_terms(record.method, [oc.m for oc in record.outcomes], noise, size)
-    return float(_loglik(theta, terms, *_counts(record.outcomes)))
+    terms = prob_terms(record.method, record.schedule.ms, noise, size)
+    return float(_loglik(theta, terms, record.hits, record.schedule.shots - record.hits))
 
 
 class _GridLikelihood:
@@ -352,26 +357,18 @@ class _GridLikelihood:
         machine precision; an infinite derivative counts by its sign.  A
         bracket with no + to - sign change (maximum pinned at a domain edge)
         returns the end its derivative rises toward: ``hi`` where the
-        derivative there is >= 0, ``lo`` otherwise.
+        derivative there is >= 0, ``lo`` otherwise.  The roots come from
+        safeguarded Newton on all brackets at once: a step that would leave
+        its bracket, or is longer than both ``ROOT_TOL`` and half the step
+        before last, is replaced by bisection.  A bracket is done once its
+        step falls to ``ROOT_TOL``, or at its midpoint after ``MAX_ROOT_STEPS``.
         """
         lo = np.maximum(centers - self._step, 1e-12)
         hi = np.minimum(centers + self._step, math.pi / 2 - 1e-12)
         d_lo, d_hi = _loglik(np.stack([lo, hi]), self.terms, hits, misses, derivatives=True)[0]
-        est = np.where(d_hi >= 0.0, hi, lo)
+        out = np.where(d_hi >= 0.0, hi, lo)
         idx = np.flatnonzero((d_lo > 0.0) & (d_hi < 0.0))
-        est[idx] = self._newton(centers[idx], lo[idx], hi[idx], hits[idx], misses[idx])
-        return est
-
-    def _newton(self, x, lo, hi, hits, misses) -> np.ndarray:
-        """Roots of the derivative inside brackets where it falls from + to -.
-
-        Safeguarded Newton on all brackets at once: a step that would leave
-        its bracket, or is longer than both ``ROOT_TOL`` and half the step
-        before last, is replaced by bisection.  A bracket is done once its
-        step falls to ``ROOT_TOL``.
-        """
-        out = np.empty_like(x)
-        idx = np.arange(len(x))
+        x, lo, hi, hits, misses = centers[idx], lo[idx], hi[idx], hits[idx], misses[idx]
         step = prev = hi - lo
         for _ in range(MAX_ROOT_STEPS):
             f, fp = _loglik(x, self.terms, hits, misses, derivatives=True)
@@ -399,13 +396,16 @@ class _GridLikelihood:
         ``hits``/``misses`` are ``(records, rounds)`` counts over the whole
         schedule and ``ends`` strictly increasing round indices in
         ``[0, rounds)``, else ``ValueError``; the result has shape
-        ``(records, len(ends))``.  Records are scanned one at a time; the
-        (record, end) brackets are refined together, in blocks of at most
-        ``REFINE_BLOCK`` bracket x round terms.  Q's likelihood is exactly
-        mirror-symmetric about pi/4 and its scan covers (0, pi/4] only; the
-        one bracket that straddles pi/4 can refine past it, so its estimates
-        fold onto (0, pi/4].
+        ``(records, len(ends))``.  Records are scanned one at a time, and one
+        whose log-likelihood is -inf at every grid angle is refused with a
+        ``ValueError`` before any refinement; the (record, end) brackets are
+        refined together, in blocks of at most ``REFINE_BLOCK`` bracket x
+        round terms.  Q's likelihood is exactly mirror-symmetric about pi/4
+        and its scan covers (0, pi/4] only; the one bracket that straddles
+        pi/4 can refine past it, so its estimates fold onto (0, pi/4].
         """
+        # float counts: int64 ones would be cast in every table product
+        hits, misses = np.asarray(hits, dtype=float), np.asarray(misses, dtype=float)
         records, rounds = hits.shape
         if rounds != len(self._logs):
             raise ValueError(f"counts cover {rounds} rounds, the schedule {len(self._logs)}")
@@ -414,7 +414,13 @@ class _GridLikelihood:
         if not indices or ends[0] < 0 or ends[-1] >= rounds or np.count_nonzero(ends[1:] <= ends[:-1]):
             raise ValueError(f"ends must be non-empty, strictly increasing round indices in [0, {rounds}), got {ends}")
         wanted = set(ends.tolist())
-        centers = self.theta[[self._scan(h, m, wanted) for h, m in zip(hits, misses)]].ravel()
+        best = np.array([self._scan(h, m, wanted) for h, m in zip(hits, misses)], dtype=int).reshape(records, len(ends))
+        # the last end's prefix holds every shorter one: a log(0) term at its argmax makes it -inf on the whole grid
+        seen = slice(ends[-1] + 1)
+        log0 = np.isneginf(self._tables[self._inverse[seen], :, best[:, -1:]])  # (records, rounds, 2)
+        if np.count_nonzero(log0 & (np.stack([hits[:, seen], misses[:, seen]], axis=-1) > 0)):
+            raise ValueError("no grid angle can produce the record: it has hits where p1 = 0 or misses where p1 = 1")
+        centers = self.theta[best].ravel()
         est = np.empty((records, len(ends)))
         block = max(1, REFINE_BLOCK // rounds)
         for s in range(0, len(centers), block):
@@ -435,9 +441,9 @@ def mle_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize 
     domain edge returns that edge, 1e-12 or pi/2 - 1e-12.  See the module docstring
     for the grid rule and the method-Q mirror fold.
     """
-    grid = _GridLikelihood(record.method, [oc.m for oc in record.outcomes], noise, size)
-    hits, misses = _counts(record.outcomes)
-    return float(grid.fit(hits[None], misses[None], [len(hits) - 1])[0, 0])
+    schedule, hits = record.schedule, record.hits
+    grid = _GridLikelihood(record.method, schedule.ms, noise, size)
+    return float(grid.fit(hits[None], (schedule.shots - hits)[None], [len(hits) - 1])[0, 0])
 
 
 def sample_hits(
@@ -457,10 +463,9 @@ def sample_hits(
     ``sample_hits(..., seed, code, ti, np.arange(reps))`` gives the
     ``(reps, rounds)`` hits of one experiment cell.
     """
-    p1 = prob_good(method, theta, [m for m, _ in schedule.rounds], noise, size)
-    shots = [s for _, s in schedule.rounds]
+    p1 = prob_good(method, theta, schedule.ms, noise, size)
     grid = [np.asarray(c)[..., None] if np.ndim(c) else c for c in path]
-    return draw_hits(shots, p1, seed_keys(master_seed, *grid, np.arange(len(shots))))
+    return draw_hits(schedule.shots, p1, seed_keys(master_seed, *grid, np.arange(len(schedule))))
 
 
 def sample_record(
@@ -476,9 +481,9 @@ def sample_record(
 
     The hits are one path of :func:`sample_hits`.
     """
-    hits = sample_hits(method, theta, schedule, noise, size, master_seed, *path).tolist()
-    outcomes = tuple(RoundOutcome(m, shots, h) for (m, shots), h in zip(schedule.rounds, hits))
-    return MeasurementRecord(method=method, outcomes=outcomes)
+    hits = sample_hits(method, theta, schedule, noise, size, master_seed, *path)
+    columns = (schedule.ms.tolist(), schedule.shots.tolist(), hits.tolist())
+    return MeasurementRecord(method=method, outcomes=tuple(map(RoundOutcome, *columns)))
 
 
 @dataclass(frozen=True)
@@ -504,15 +509,14 @@ def crb_curves(config: ExperimentConfig, a: float, method: Method) -> CrbCurves:
     """
     theta = math.asin(math.sqrt(a))
     schedule = build_eis_schedule(config.base, config.rounds, config.shots, method)
-    n_qs = query_count(method, [m for m, _ in schedule.rounds])
-    shots = np.array([s for _, s in schedule.rounds], dtype=float)
+    n_qs, shots = query_count(method, schedule.ms), schedule.shots
     f_classical = classical_fisher(method, theta, n_qs, config.noise, config.size)
     f_quantum = quantum_fisher(n_qs, config.noise, config.size)
     f_ideal = 4.0 * n_qs**2
     n_q_tot = np.cumsum(shots * n_qs)
     f_single = classical_fisher(Method.G, theta, 1.0, config.noise, config.size)
     return CrbCurves(
-        n_q_tot=n_q_tot.astype(int),
+        n_q_tot=n_q_tot,
         classical=1.0 / np.sqrt(np.cumsum(shots * f_classical)),
         quantum=1.0 / np.sqrt(np.cumsum(shots * f_quantum)),
         noiseless=1.0 / np.sqrt(np.cumsum(shots * f_ideal)),
@@ -564,22 +568,12 @@ def run_experiment(config: ExperimentConfig) -> RmseTable:
     rows: list[RmseRow] = []
     for method in config.methods:
         schedule = build_eis_schedule(config.base, config.rounds, config.shots, method)
-        grid = _GridLikelihood(method, [m for m, _ in schedule.rounds], config.noise, config.size)
-        shots = np.array([s for _, s in schedule.rounds], dtype=float)
+        grid = _GridLikelihood(method, schedule.ms, config.noise, config.size)
         for ti, a in enumerate(config.targets):
             theta = math.asin(math.sqrt(a))
-            hits = sample_hits(
-                method,
-                theta,
-                schedule,
-                config.noise,
-                config.size,
-                config.master_seed,
-                _METHOD_CODE[method],
-                ti,
-                np.arange(config.repetitions),
-            )
-            estimates = grid.fit(hits, shots - hits, range(len(schedule)))
+            path = (_METHOD_CODE[method], ti, np.arange(config.repetitions))
+            hits = sample_hits(method, theta, schedule, config.noise, config.size, config.master_seed, *path)
+            estimates = grid.fit(hits, schedule.shots - hits, range(len(schedule)))
             rmse = np.sqrt(np.mean((estimates - theta) ** 2, axis=0))
             bounds = crb_curves(config, a, method)
             for k in range(len(schedule)):

@@ -125,42 +125,48 @@ class SystemSize:
 INFINITE = SystemSize(math.inf)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered amplification rounds ``(m_k, shots_k)``.
+def _count_column(values) -> np.ndarray:
+    """``values`` as a read-only 1-d int64 copy; ``ValueError`` unless they are integers."""
+    column = np.asarray(values)
+    if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+        raise ValueError(f"round counts must be a 1-d sequence of integers, got {values!r}")
+    column = column.astype(np.int64)
+    column.flags.writeable = False
+    return column
 
-    Duplicate ``m`` values are kept as distinct rounds; the exponential
-    schedule builder intentionally produces repeats for small ``k``.
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """Ordered amplification rounds as read-only int64 columns of one length:
+    round ``k`` applies ``ms[k] >= 0`` steps and is measured ``shots[k] >= 1``
+    times.  Duplicate ``m`` values are kept as distinct rounds; the
+    exponential schedule builder intentionally produces repeats for small ``k``.
     """
 
-    rounds: tuple[tuple[int, int], ...]
+    ms: np.ndarray
+    shots: np.ndarray
 
     def __post_init__(self) -> None:
-        for m, shots in self.rounds:
-            if m < 0:
-                raise ValueError(f"amplification count must be >= 0, got {m}")
-            if shots < 1:
-                raise ValueError(f"shot count must be >= 1, got {shots}")
+        ms, shots = _count_column(self.ms), _count_column(self.shots)
+        if len(ms) != len(shots):
+            raise ValueError(f"ms and shots must have one length, got {len(ms)} and {len(shots)}")
+        if np.count_nonzero(ms < 0):
+            raise ValueError(f"amplification count must be >= 0, got {ms[ms < 0][0]}")
+        if np.count_nonzero(shots < 1):
+            raise ValueError(f"shot count must be >= 1, got {shots[shots < 1][0]}")
+        self.__dict__.update(ms=ms, shots=shots)  # frozen: set the checked copies past __setattr__
 
     def __len__(self) -> int:
-        return len(self.rounds)
+        return len(self.ms)
 
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """Measurement record of one round: ``hits`` good outcomes out of ``shots``."""
+    """One round of a record, ``hits`` good outcomes of ``shots`` after ``m`` steps: a view its record checks."""
 
     m: int
     shots: int
     hits: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"amplification count must be >= 0, got {self.m}")
-        if self.shots < 1:
-            raise ValueError(f"shot count must be >= 1, got {self.shots}")
-        if not 0 <= self.hits <= self.shots:
-            raise ValueError(f"hits must lie in [0, {self.shots}], got {self.hits}")
 
 
 def _scalar_or_array(x):
@@ -373,8 +379,7 @@ def sample_round(
     order or threading.  Derive per-round seeds with :func:`derive_seed`;
     ``seed`` must lie in [0, 2**64), the range :func:`derive_seed` returns.
     """
-    if shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
+    Schedule([m], [shots])  # refuses m < 0 and shots < 1
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     p1 = prob_good(method, theta, m, noise, size)

@@ -252,6 +252,7 @@ class TestOracleVerify:
         # an empty list flag is refused by name, not read as zero rows or a bad value
         pytest.param(["fisher-curves", "--n-qubits", ","], None, "at least one register size", id="n-qubits-empty"),
         pytest.param(["simulate", "--targets", ","], None, "at least one target is required", id="targets-empty"),
+        pytest.param(["simulate", "--methods", "x"], None, "methods must be one of g, q, both", id="methods-x"),
         pytest.param(["simulate"], "5", "JSON object", id="config-number"),
         pytest.param(["oracle-verify"], "[1, 2]", "JSON object", id="config-array"),
     ],

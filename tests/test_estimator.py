@@ -21,7 +21,8 @@ from aelab import (
     run_experiment,
     sample_record,
 )
-from aelab.estimator import _METHOD_CODE, _GridLikelihood, _counts, _loglik, sample_hits
+from aelab import estimator
+from aelab.estimator import _METHOD_CODE, _GridLikelihood, _loglik, sample_hits
 from aelab.model import derive_seed, hit_probability, sample_round
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
@@ -36,18 +37,22 @@ half_grid_cases = dict(
 )
 
 
+def make_record(method: Method, sched, hits) -> MeasurementRecord:
+    """The record of ``sched``'s rounds with the given hits (as many rounds as both have)."""
+    return MeasurementRecord(method, tuple(map(RoundOutcome, sched.ms.tolist(), sched.shots.tolist(), hits)))
+
+
 def random_record(method: Method, rounds: int, hits) -> MeasurementRecord:
     """``rounds`` rounds of the base-6/5 schedule (Q's m = 0 round dropped) with the given hits."""
-    sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), HALF_GRID_SHOTS, method)
-    return MeasurementRecord(method, tuple(RoundOutcome(m, s, h) for (m, s), h in zip(sched.rounds, hits)))
+    return make_record(method, build_eis_schedule(6 / 5, rounds + (method is Method.Q), HALF_GRID_SHOTS, method), hits)
 
 
 def full_grid_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize) -> float:
     """The estimate the long way: the log-likelihood at every point of the
     engine's grid over (0, pi/2), its first argmax, the engine's bracket
     refinement, and the fold onto (0, pi/4] for Q."""
-    grid = _GridLikelihood(record.method, [oc.m for oc in record.outcomes], noise, size)
-    hits, misses = _counts(record.outcomes)
+    grid = _GridLikelihood(record.method, record.schedule.ms, noise, size)
+    hits, misses = record.hits, record.schedule.shots - record.hits
     center = grid.theta[np.argmax(_loglik(grid.theta, grid.terms, hits, misses))]
     est = float(grid._refine(np.array([center]), hits[None], misses[None])[0])
     return min(est, math.pi / 2 - est) if record.method is Method.Q else est
@@ -83,15 +88,15 @@ def full_scan_fit(grid: _GridLikelihood, hits, misses, ends) -> np.ndarray:
 class TestSchedule:
     def test_small_g(self):
         sched = build_eis_schedule(6 / 5, 4, 100, Method.G)
-        assert [m for m, _ in sched.rounds] == [0, 1, 1, 1]
+        assert sched.ms.tolist() == [0, 1, 1, 1]
 
     def test_small_q_drops_zero_round(self):
         sched = build_eis_schedule(6 / 5, 4, 100, Method.Q)
-        assert [m for m, _ in sched.rounds] == [1, 1, 1]
+        assert sched.ms.tolist() == [1, 1, 1]
 
     def test_full_depth(self):
         sched = build_eis_schedule(6 / 5, 37, 100, Method.G)
-        assert sched.rounds[-1] == (590, 100)
+        assert (sched.ms[-1], sched.shots[-1]) == (590, 100)
         assert len(sched) == 37
 
     def test_rejects_base(self):
@@ -182,7 +187,7 @@ class TestMle:
             sched = build_eis_schedule(6 / 5, 15, 100, method)
             from aelab import query_count
 
-            f_total = sum(shots * 4 * query_count(method, m) ** 2 for m, shots in sched.rounds)
+            f_total = int(np.sum(sched.shots * 4 * query_count(method, sched.ms) ** 2))
             band = 3 / math.sqrt(f_total)
             for rep in range(trials):
                 rec = sample_record(method, theta, sched, noise, INFINITE, 2024, rep)
@@ -219,9 +224,8 @@ class TestMle:
             # absolute term covers a log-likelihood of exactly 0
             mirror = log_likelihood(rec, math.pi / 2 - est, noise, size)
             assert mirror == pytest.approx(here, rel=1e-12, abs=1e-15)
-        hits, misses = _counts(rec.outcomes)
-        ms = [m for m, _ in sched.rounds]
-        prefix = _GridLikelihood(method, ms, noise, size).fit(hits[None], misses[None], range(len(ms)))[0]
+        grid = _GridLikelihood(method, sched.ms, noise, size)
+        prefix = grid.fit(rec.hits[None], (sched.shots - rec.hits)[None], range(len(sched)))[0]
         assert est == prefix[-1]  # one fit routine: the last prefix is the estimate, bit for bit
 
     @settings(max_examples=60, deadline=None)
@@ -238,9 +242,9 @@ class TestMle:
     def test_g_swapping_hits_and_misses_mirrors_the_estimate(self, r, size, rounds, hits):
         # odd query counts: p1(pi/2 - theta) = 1 - p1(theta)
         rec = random_record(Method.G, rounds, hits)
-        swapped = tuple(RoundOutcome(oc.m, oc.shots, oc.shots - oc.hits) for oc in rec.outcomes)
+        swapped = make_record(Method.G, rec.schedule, (rec.schedule.shots - rec.hits).tolist())
         est = mle_estimate(rec, NoiseModel(r), size)
-        mirror = math.pi / 2 - mle_estimate(MeasurementRecord(Method.G, swapped), NoiseModel(r), size)
+        mirror = math.pi / 2 - mle_estimate(swapped, NoiseModel(r), size)
         assert mirror == pytest.approx(est, abs=1e-10)
 
     @pytest.mark.parametrize("r", [1.0, 0.95])
@@ -256,17 +260,34 @@ class TestMle:
     def test_grid_follows_the_largest_query_count(self):
         # 32 points per period pi/n_q of the deepest round: 16 * (2*590 + 1)
         sched = build_eis_schedule(6 / 5, 37, 100, Method.G)
-        grid = _GridLikelihood(Method.G, [m for m, _ in sched.rounds], NoiseModel(0.99), SystemSize(100))
+        grid = _GridLikelihood(Method.G, sched.ms, NoiseModel(0.99), SystemSize(100))
         assert len(grid.theta) == 18_896
         short = build_eis_schedule(6 / 5, 5, 100, Method.G)
-        assert len(_GridLikelihood(Method.G, [m for m, _ in short.rounds], NoiseModel(0.99), INFINITE).theta) == 4096
+        assert len(_GridLikelihood(Method.G, short.ms, NoiseModel(0.99), INFINITE).theta) == 4096
 
     def test_refuses_schedule_the_grid_cannot_resolve(self):
         # 72 rounds reach n_q = 697,777: silently aliased on any affordable grid
         sched = build_eis_schedule(6 / 5, 72, 100, Method.G)
-        rec = MeasurementRecord(Method.G, tuple(RoundOutcome(m, s, s // 2) for m, s in sched.rounds))
+        rec = make_record(Method.G, sched, (sched.shots // 2).tolist())
         with pytest.raises(ValueError, match="largest supported query count is"):
             mle_estimate(rec, NoiseModel(1.0))
+
+    def test_refuses_a_record_no_grid_angle_can_produce(self):
+        # at r = 0.5 a deep Q round's r**n_q underflows to 0, so its hit probability (1 - 2**-100) rounds to
+        # exactly 1 at every angle, and a miss there makes the log-likelihood -inf on the whole grid
+        noise, size = NoiseModel(0.5), SystemSize(100)
+        sched = build_eis_schedule(6 / 5, 37, 1, Method.Q)
+        hits = np.random.default_rng(1).integers(0, 1, 36, endpoint=True)
+        rec = make_record(Method.Q, sched, hits.tolist())
+        assert log_likelihood(rec, 0.3, noise, size) == -math.inf
+        with pytest.raises(ValueError, match="no grid angle can produce the record"):
+            mle_estimate(rec, noise, size)
+        # every longer prefix of an impossible one is impossible too, so the last end decides
+        grid = _GridLikelihood(Method.Q, sched.ms, noise, size)
+        counts = np.stack([sched.shots, hits])  # an all-hit record, which every angle can produce, and the one above
+        with pytest.raises(ValueError, match="no grid angle can produce the record"):
+            grid.fit(counts, sched.shots - counts, range(len(sched)))
+        assert grid.fit(counts, sched.shots - counts, [0, 5]).shape == (2, 2)
 
 
 class TestLikelihoodTables:
@@ -277,8 +298,7 @@ class TestLikelihoodTables:
     def test_tables_match_the_closed_form(self, method, r, size, rounds):
         # compared in probability space: where p1 rounds to within ulps of 1 log1p(-p1) is ill-conditioned,
         # and at r = 1 an exact zero of p1 can come out of the rounding as a tiny positive value
-        ms = [m for m, _ in build_eis_schedule(6 / 5, rounds, 100, method).rounds]
-        grid = _GridLikelihood(method, ms, NoiseModel(r), size)
+        grid = _GridLikelihood(method, build_eis_schedule(6 / 5, rounds, 100, method).ms, NoiseModel(r), size)
         half = len(grid.theta) // 2
         assert grid.theta[half - 1] < math.pi / 4 < grid.theta[half]
         n_q, r_pow, floor = grid.terms
@@ -293,13 +313,43 @@ class TestLikelihoodTables:
 
     @pytest.mark.parametrize("ends", [[9, 9], [9, 3], [12], [10], [-1], [], [2.0], [[1, 2]]])
     def test_fit_refuses_ends_outside_the_schedule(self, ends):
-        ms = [m for m, _ in build_eis_schedule(6 / 5, 10, 100, Method.G).rounds]
-        grid = _GridLikelihood(Method.G, ms, NoiseModel(0.99), SystemSize(100))
+        sched = build_eis_schedule(6 / 5, 10, 100, Method.G)
+        grid = _GridLikelihood(Method.G, sched.ms, NoiseModel(0.99), SystemSize(100))
         hits = np.tile(np.arange(40.0, 80.0, 4.0), (2, 1))
         every = grid.fit(hits, 100.0 - hits, range(10))
         assert np.array_equal(grid.fit(hits, 100.0 - hits, [3, 9]), every[:, [3, 9]])
         with pytest.raises(ValueError, match="strictly increasing round indices in \\[0, 10\\)"):
             grid.fit(hits, 100.0 - hits, ends)
+
+
+class TestRefinement:
+    @staticmethod
+    def cell_fit(method):
+        """A run_experiment cell's grid and its estimates at every prefix."""
+        cfg = ExperimentConfig(rounds=14, repetitions=8, master_seed=23)
+        sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
+        grid = _GridLikelihood(method, sched.ms, cfg.noise, cfg.size)
+        cell = (cfg.master_seed, _METHOD_CODE[method], 2, np.arange(cfg.repetitions))
+        hits = sample_hits(method, math.asin(math.sqrt(1 / 6)), sched, cfg.noise, cfg.size, *cell)
+        return grid, grid.fit(hits, sched.shots - hits, range(len(sched)))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_refine_blocks_leave_every_estimate_unchanged(self, method, monkeypatch):
+        # the default block holds a whole cell here (8 records x 14 ends x 14 rounds); three brackets per block
+        # split it into dozens, and each bracket's refinement must not depend on its neighbours
+        grid, whole = self.cell_fit(method)
+        monkeypatch.setattr(estimator, "REFINE_BLOCK", 3 * len(grid._logs))
+        _, blocked = self.cell_fit(method)
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_unconverged_brackets_return_within_a_grid_step(self, method, monkeypatch):
+        # after one root step a bracket still open returns the midpoint of what is left of it
+        grid, converged = self.cell_fit(method)
+        monkeypatch.setattr(estimator, "MAX_ROOT_STEPS", 1)
+        _, capped = self.cell_fit(method)
+        assert not np.array_equal(capped, converged)
+        assert np.max(np.abs(capped - converged)) <= grid._step
 
 
 class TestPrunedScan:
@@ -319,7 +369,7 @@ class TestPrunedScan:
         # the argmax at every prefix, as fit(..., range(rounds)) asks, and at one end, as mle_estimate asks
         noise = NoiseModel(r)
         sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), shots, method)
-        grid = _GridLikelihood(method, [m for m, _ in sched.rounds], noise, size)
+        grid = _GridLikelihood(method, sched.ms, noise, size)
         if kind == "sampled":
             hits = sample_hits(method, theta, sched, noise, size, seed).astype(float)
         elif kind == "uniform":
@@ -335,8 +385,7 @@ class TestPrunedScan:
         # at r = 0.5, R = r**n_q is below 1e-17 from round 20 on, so every G grid point has p1 = 1/2 exactly;
         # rounds with hits = misses then add exactly their saturated term everywhere, the bound's slack is zero,
         # and G's mirror points tie up to rounding: only the prune margin keeps the argmax (and c) in the window
-        ms = [m for m, _ in build_eis_schedule(6 / 5, 37, shots, Method.G).rounds]
-        grid = _GridLikelihood(Method.G, ms, NoiseModel(0.5), INFINITE)
+        grid = _GridLikelihood(Method.G, build_eis_schedule(6 / 5, 37, shots, Method.G).ms, NoiseModel(0.5), INFINITE)
         hits = np.full(37, shots / 2)
         for ends in (set(range(37)), {36}):
             assert grid._scan(hits, hits, ends) == full_scan(grid, hits, hits, ends)
@@ -347,15 +396,29 @@ class TestPrunedScan:
         table = run_experiment(cfg)
         for method in cfg.methods:
             sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
-            grid = _GridLikelihood(method, [m for m, _ in sched.rounds], cfg.noise, cfg.size)
-            shots = np.array([s for _, s in sched.rounds], dtype=float)
+            grid = _GridLikelihood(method, sched.ms, cfg.noise, cfg.size)
             for ti, a in enumerate(cfg.targets):
                 theta = math.asin(math.sqrt(a))
                 cell = (cfg.master_seed, _METHOD_CODE[method], ti, np.arange(cfg.repetitions))
                 hits = sample_hits(method, theta, sched, cfg.noise, cfg.size, *cell)
-                estimates = full_scan_fit(grid, hits, shots - hits, range(len(sched)))
+                estimates = full_scan_fit(grid, hits, sched.shots - hits, range(len(sched)))
                 rmse = np.sqrt(np.mean((estimates - theta) ** 2, axis=0))
                 assert [row.rmse for row in table.select(method, a)] == rmse.tolist()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExperimentConfig(rounds=0), "rounds, shots and repetitions must all be >= 1"),
+        (lambda: ExperimentConfig(targets=(1.0,)), r"strictly inside \(0, 1\)"),
+        (lambda: ExperimentConfig(methods=()), "at least one method is required"),
+        (lambda: mle_estimate(MeasurementRecord(Method.G, ()), NoiseModel(0.99)), "no rounds to fit"),
+    ],
+    ids=["no-rounds", "target-one", "no-methods", "empty-record"],
+)
+def test_refuses(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestCrbCurves:
@@ -407,9 +470,8 @@ class TestRunExperiment:
         sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
         theta = math.asin(math.sqrt(1 / 6))
         rec = sample_record(method, theta, sched, cfg.noise, cfg.size, cfg.master_seed, 0, ti, rep)
-        grid = _GridLikelihood(method, [m for m, _ in sched.rounds], cfg.noise, cfg.size)
-        hits, misses = _counts(rec.outcomes)
-        prefix_ests = grid.fit(hits[None], misses[None], range(len(sched)))[0]
+        grid = _GridLikelihood(method, sched.ms, cfg.noise, cfg.size)
+        prefix_ests = grid.fit(rec.hits[None], (sched.shots - rec.hits)[None], range(len(sched)))[0]
         for k in (0, 3, 6):
             short = MeasurementRecord(method, rec.outcomes[: k + 1])
             assert prefix_ests[k] == pytest.approx(
@@ -425,10 +487,9 @@ class TestRunExperiment:
             sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
             assert len(sched) == 37 - code  # the reference schedule
             rec = sample_record(method, theta, sched, cfg.noise, cfg.size, 77, code, 0, 1)
-            for j, (m, shots) in enumerate(sched.rounds):
+            for j, outcome in enumerate(rec.outcomes):
                 seed = derive_seed(77, code, 0, 1, j)
-                redo = sample_round(method, theta, m, shots, cfg.noise, cfg.size, seed)
-                assert redo == rec.outcomes[j]
+                assert sample_round(method, theta, outcome.m, outcome.shots, cfg.noise, cfg.size, seed) == outcome
 
     def test_pinned_hits(self):
         # the sha256 below was computed with the per-record sampler
@@ -443,7 +504,7 @@ class TestRunExperiment:
                 args = (method, theta, sched, cfg.noise, cfg.size, cfg.master_seed, code, ti)
                 hits = sample_hits(*args, np.arange(cfg.repetitions))
                 for rep in range(cfg.repetitions):
-                    assert [oc.hits for oc in sample_record(*args, rep).outcomes] == hits[rep].tolist()
+                    assert sample_record(*args, rep).hits.tolist() == hits[rep].tolist()
                 digest.update(hits.astype("<i8").tobytes())
         assert digest.hexdigest() == "a108d70d09b53bf928c2fa75016472103321cb5f3a20074cd736558b90e4ab27"
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from aelab import (
     INFINITE,
+    MeasurementRecord,
     Method,
     NoiseModel,
     RoundOutcome,
@@ -46,18 +47,60 @@ class TestTypes:
             SystemSize(n)
 
     def test_schedule_keeps_duplicates_and_counts_queries(self):
-        sched = Schedule(rounds=((0, 100), (1, 100), (1, 100)))
+        ms = [0, 1, 1]
+        sched = Schedule(ms, [100, 100, 100])
+        ms[0] = 5  # the schedule holds its own copy
         assert len(sched) == 3
-        ms = [m for m, _ in sched.rounds]
-        assert query_count(Method.G, ms).tolist() == [1, 3, 3]
-        assert query_count(Method.Q, ms).tolist() == [0, 2, 2]
+        assert sched.ms.tolist() == [0, 1, 1] and sched.shots.tolist() == [100, 100, 100]
+        for column in (sched.ms, sched.shots):
+            assert column.dtype == np.int64 and not column.flags.writeable
+        assert query_count(Method.G, sched.ms).tolist() == [1, 3, 3]
+        assert query_count(Method.Q, sched.ms).tolist() == [0, 2, 2]
+
+    @pytest.mark.parametrize(
+        "ms, shots, message",
+        [
+            ([0, -1], [10, 10], "amplification count must be >= 0, got -1"),
+            ([0, 1], [10, 0], "shot count must be >= 1, got 0"),
+            ([0, 1.5], [10, 10], "must be a 1-d sequence of integers"),
+            ([0, 1], [10.0, 10.0], "must be a 1-d sequence of integers"),
+            ([[0, 1]], [[10, 10]], "must be a 1-d sequence of integers"),
+            ([0, 1], [10], "one length, got 2 and 1"),
+        ],
+        ids=["negative-m", "zero-shots", "float-m", "float-shots", "2-d", "lengths"],
+    )
+    def test_schedule_refuses_bad_counts(self, ms, shots, message):
+        with pytest.raises(ValueError, match=message):
+            Schedule(ms, shots)
 
     def test_round_outcome_validation(self):
-        RoundOutcome(m=0, shots=10, hits=10)
-        with pytest.raises(ValueError):
-            RoundOutcome(m=0, shots=10, hits=11)
-        with pytest.raises(ValueError):
-            RoundOutcome(m=-1, shots=10, hits=0)
+        # a round outcome is a plain view; the record that holds it checks its counts
+        def record(m, shots, hits):
+            return MeasurementRecord(Method.G, (RoundOutcome(0, 10, 5), RoundOutcome(m=m, shots=shots, hits=hits)))
+
+        assert record(0, 10, 10).hits.tolist() == [5, 10]
+        with pytest.raises(ValueError, match=r"hits must lie in \[0, 10\], got 11"):
+            record(0, 10, 11)
+        with pytest.raises(ValueError, match=r"hits must lie in \[0, 10\], got -1"):
+            record(0, 10, -1)
+        with pytest.raises(ValueError, match="amplification count must be >= 0, got -1"):
+            record(-1, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "error, call, message",
+    [
+        (TypeError, lambda: seed_keys(1, np.array([0.5])), "seed components must be integers"),
+        (ValueError, lambda: sample_round(Method.G, 0.5, 1, 0, NoiseModel(0.9), INFINITE, 7),
+         "shot count must be >= 1, got 0"),
+        (ValueError, lambda: readout_factor(0, 0.01), "qubit count must be >= 1"),
+        (ValueError, lambda: readout_factor(1, 1.0), r"readout error must lie in \[0, 1\)"),
+    ],
+    ids=["seed-key-float", "zero-shots", "no-qubits", "eps-one"],
+)
+def test_refuses(error, call, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestQueryCount:

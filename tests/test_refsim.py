@@ -450,3 +450,16 @@ class TestEquivalenceSuite:
             n_values=(1,), m_values=(1,), r_values=(0.9,), seeds=2, perturb_r=1e-3
         )
         assert not report.all_passed
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: theorem_bound([1], 1, 0.9), "dimension must be >= 2, got 1"),
+        (lambda: run_equivalence_suite(perturb_r=1.0), r"perturbation must lie in \[0, 1\), got 1.0"),
+    ],
+    ids=["one-dimension", "perturb-one"],
+)
+def test_refuses(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
