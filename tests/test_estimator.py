@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aelab import (
@@ -22,7 +22,7 @@ from aelab import (
     sample_record,
 )
 from aelab import estimator
-from aelab.estimator import _METHOD_CODE, _GridLikelihood, _loglik, sample_hits
+from aelab.estimator import _METHOD_CODE, ROOT_TOL, _GridLikelihood, _loglik, sample_hits
 from aelab.model import derive_seed, hit_probability, sample_round
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
@@ -52,9 +52,10 @@ def full_grid_estimate(record: MeasurementRecord, noise: NoiseModel, size: Syste
     engine's grid over (0, pi/2), its first argmax, the engine's bracket
     refinement, and the fold onto (0, pi/4] for Q."""
     grid = _GridLikelihood(record.method, record.schedule.ms, noise, size)
-    hits, misses = record.hits, record.schedule.shots - record.hits
+    hits, misses = record.hits.astype(float), (record.schedule.shots - record.hits).astype(float)
     center = grid.theta[np.argmax(_loglik(grid.theta, grid.terms, hits, misses))]
-    est = float(grid._refine(np.array([center]), hits[None], misses[None])[0])
+    bracket = np.array([center]), hits[None], misses[None], np.zeros(1, int), np.array([len(hits) - 1])
+    est = float(grid._refine(*bracket)[0])
     return min(est, math.pi / 2 - est) if record.method is Method.Q else est
 
 
@@ -76,13 +77,62 @@ def full_scan(grid: _GridLikelihood, hits, misses, ends) -> list[int]:
 
 def full_scan_fit(grid: _GridLikelihood, hits, misses, ends) -> np.ndarray:
     """``grid.fit`` with :func:`full_scan` in place of the engine's scan: the
-    same refinement of every (record, end) bracket in one batch, and Q's fold."""
-    ends = np.asarray(ends)
+    engine's refinement of every (record, end) bracket in one batch, and Q's fold."""
+    hits, misses, ends = np.asarray(hits, dtype=float), np.asarray(misses, dtype=float), np.asarray(ends)
     centers = grid.theta[[full_scan(grid, h, m, set(ends.tolist())) for h, m in zip(hits, misses)]].ravel()
     rec, end = np.divmod(np.arange(len(centers)), len(ends))
-    upto = np.arange(hits.shape[1]) <= ends[end][:, None]
-    est = grid._refine(centers, hits[rec] * upto, misses[rec] * upto).reshape(len(hits), len(ends))
+    est = grid._refine(centers, hits, misses, rec, ends[end]).reshape(len(hits), len(ends))
     return np.minimum(est, math.pi / 2 - est) if grid.method is Method.Q else est
+
+
+def dense_slopes(theta, terms, hits, misses):
+    """First two theta-derivatives of the log-likelihood of the rounds along
+    the last axis, every round evaluated; zero counts contribute exactly zero,
+    so rounds beyond a prefix are masked out by zeroing their counts."""
+    n_q, r_pow, floor = terms
+    x = n_q * np.asarray(theta)[..., None]
+    p1 = hit_probability(x, r_pow, floor)
+    has1, has0 = hits > 0, misses > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w1 = np.where(has1, hits / p1, 0.0)
+        w0 = np.where(has0, misses / (1.0 - p1), 0.0)
+        curvature = np.where(has1, w1 / p1, 0.0) + np.where(has0, w0 / (1.0 - p1), 0.0)
+    dp1 = r_pow * n_q * np.sin(2.0 * x)
+    d2p1 = 2.0 * r_pow * n_q**2 * np.cos(2.0 * x)
+    return np.sum((w1 - w0) * dp1, axis=-1), np.sum((w1 - w0) * d2p1 - curvature * dp1**2, axis=-1)
+
+
+def dense_refine(grid: _GridLikelihood, centers, hits, misses) -> np.ndarray:
+    """The refinement with every bracket evaluated over all rounds: ``hits``/
+    ``misses`` hold one row per bracket, zeroed after its end.  The same
+    bracket ends, sign tests, safeguarded Newton steps and stopping rules as
+    the engine's, on :func:`dense_slopes`."""
+    lo = np.maximum(centers - grid._step, 1e-12)
+    hi = np.minimum(centers + grid._step, math.pi / 2 - 1e-12)
+    d_lo, d_hi = dense_slopes(np.stack([lo, hi]), grid.terms, hits, misses)[0]
+    out = np.where(d_hi >= 0.0, hi, lo)
+    idx = np.flatnonzero((d_lo > 0.0) & (d_hi < 0.0))
+    x, lo, hi, hits, misses = centers[idx], lo[idx], hi[idx], hits[idx], misses[idx]
+    step = prev = hi - lo
+    for _ in range(estimator.MAX_ROOT_STEPS):
+        f, fp = dense_slopes(x, grid.terms, hits, misses)
+        lo = np.where(f > 0.0, x, lo)
+        hi = np.where(f < 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / fp
+            fast = np.abs(newton - x) <= np.maximum(ROOT_TOL, 0.5 * np.abs(prev))
+        nxt = np.where((newton >= lo) & (newton <= hi) & fast, newton, 0.5 * (lo + hi))
+        prev, step = step, nxt - x
+        root = f == 0.0
+        done = root | (np.abs(step) <= ROOT_TOL)
+        out[idx[done]] = np.where(root, x, nxt)[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        idx, x, lo, hi, step, prev = idx[keep], nxt[keep], lo[keep], hi[keep], step[keep], prev[keep]
+        hits, misses = hits[keep], misses[keep]
+    out[idx] = 0.5 * (lo + hi)
+    return out
 
 
 class TestSchedule:
@@ -335,12 +385,45 @@ class TestRefinement:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_refine_blocks_leave_every_estimate_unchanged(self, method, monkeypatch):
-        # the default block holds a whole cell here (8 records x 14 ends x 14 rounds); three brackets per block
-        # split it into dozens, and each bracket's refinement must not depend on its neighbours
-        grid, whole = self.cell_fit(method)
-        monkeypatch.setattr(estimator, "REFINE_BLOCK", 3 * len(grid._logs))
-        _, blocked = self.cell_fit(method)
-        assert blocked.tobytes() == whole.tobytes()
+        # the default block holds a whole cell here (8 records, at most 105 live terms each); a block of one term holds
+        # one bracket, one of 40 a few whole ones: each bracket's refinement must not depend on its neighbours
+        _, whole = self.cell_fit(method)
+        for block in (1, 40):
+            monkeypatch.setattr(estimator, "REFINE_BLOCK", block)
+            _, blocked = self.cell_fit(method)
+            assert blocked.tobytes() == whole.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        r=st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.0)),
+        size=st.sampled_from([SystemSize(2), SystemSize(3), SystemSize(100), INFINITE]),
+        rounds=st.integers(min_value=1, max_value=37),
+        kind=st.sampled_from(["sampled", "all hits", "all misses"]),
+        theta=st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_live_terms_match_the_dense_refinement(self, method, r, size, rounds, kind, theta, seed):
+        # every prefix of one record, refined over its live rounds and over all rounds with the rest zeroed:
+        # only the order of the per-bracket sums differs, and an edge-pinned bracket returns the same edge
+        noise = NoiseModel(r)
+        sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), 100, method)
+        grid = _GridLikelihood(method, sched.ms, noise, size)
+        if kind == "sampled":
+            hits = sample_hits(method, theta, sched, noise, size, seed).astype(float)
+        else:
+            hits = np.full(rounds, 100.0 if kind == "all hits" else 0.0)
+        misses = 100.0 - hits
+        ends = np.arange(rounds)
+        centers = grid.theta[full_scan(grid, hits, misses, set(ends.tolist()))]
+        assume(np.isfinite(_loglik(centers[-1], grid.terms, hits, misses)))  # else fit refuses the record
+        live = grid._refine(centers, hits[None], misses[None], np.zeros(rounds, dtype=int), ends)
+        upto = ends <= ends[:, None]
+        dense = dense_refine(grid, centers, hits * upto, misses * upto)
+        assert np.max(np.abs(live - dense)) <= 2 * ROOT_TOL
+        lo, hi = np.maximum(centers - grid._step, 1e-12), np.minimum(centers + grid._step, math.pi / 2 - 1e-12)
+        edges = (dense == lo) | (dense == hi)
+        assert np.array_equal(live[edges], dense[edges])
 
     @pytest.mark.parametrize("method", list(Method))
     def test_unconverged_brackets_return_within_a_grid_step(self, method, monkeypatch):
@@ -391,7 +474,8 @@ class TestPrunedScan:
             assert grid._scan(hits, hits, ends) == full_scan(grid, hits, hits, ends)
 
     def test_experiment_cells_match_the_full_grid_scan(self):
-        # run_experiment's RMSE, bit for bit, from estimates of the full-grid scan, the refinement and Q's fold
+        # run_experiment's RMSE, bit for bit, from estimates of the full-grid scan, the refinement and Q's fold;
+        # each cell is fitted alone here, where run_experiment fits every target of a method in one call
         cfg = ExperimentConfig(targets=(2 / 3, 1 / 6, 1 / 48), rounds=14, repetitions=8, master_seed=19)
         table = run_experiment(cfg)
         for method in cfg.methods:
