@@ -4,7 +4,6 @@ from .model import (
     INFINITE,
     Method,
     NoiseModel,
-    RoundOutcome,
     Schedule,
     SystemSize,
     breakeven_qubits,
@@ -40,7 +39,6 @@ __all__ = [
     "INFINITE",
     "Method",
     "NoiseModel",
-    "RoundOutcome",
     "Schedule",
     "SystemSize",
     "breakeven_qubits",

@@ -76,7 +76,8 @@ call) move a bit of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -144,6 +145,10 @@ class ExperimentConfig:
     methods: tuple[Method, ...] = (Method.G, Method.Q)
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "shots", "repetitions", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1.0 < self.base < math.inf:
             raise ValueError(f"schedule base must be finite and exceed 1, got {self.base}")
         if self.master_seed < 0:
@@ -160,27 +165,34 @@ class ExperimentConfig:
             raise ValueError("method Q needs rounds >= 2: its first round (m = 0) carries no signal and is dropped")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """All round outcomes of one repetition for one method, and the same
-    counts as columns: ``schedule`` and a read-only int64 ``hits``, checked
-    here once (the schedule's rules, ``0 <= hits <= shots``, no ``m = 0``
-    round for method Q)."""
+    """The counts of one repetition for one method: round ``k`` of ``schedule``
+    saw ``hits[k]`` good outcomes.  ``hits`` is kept as a read-only int64
+    column, checked here once: it has the schedule's length and ``0 <= hits
+    <= shots``, and method Q has no ``m = 0`` round.  The record of no rounds
+    may also be written ``MeasurementRecord(method, ())``."""
 
     method: Method
-    outcomes: tuple[RoundOutcome, ...]
-    schedule: Schedule = field(init=False, repr=False, compare=False)
-    hits: np.ndarray = field(init=False, repr=False, compare=False)
+    schedule: Schedule
+    hits: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        schedule = Schedule([oc.m for oc in self.outcomes], [oc.shots for oc in self.outcomes])
-        hits = _count_column([oc.hits for oc in self.outcomes])
+        schedule = Schedule((), ()) if self.schedule == () else self.schedule
+        hits = _count_column(self.hits)
+        if len(hits) != len(schedule):
+            raise ValueError(f"hits must have the schedule's length {len(schedule)}, got {len(hits)}")
         bad = np.flatnonzero((hits < 0) | (hits > schedule.shots))
         if len(bad):
             raise ValueError(f"hits must lie in [0, {schedule.shots[bad[0]]}], got {hits[bad[0]]}")
         if self.method is Method.Q and np.count_nonzero(schedule.ms == 0):
             raise ValueError("zero-amplification rounds carry no signal for method Q and must be dropped")
         self.__dict__.update(schedule=schedule, hits=hits)
+
+    @property
+    def outcomes(self) -> tuple[RoundOutcome, ...]:
+        """The rounds as :class:`~aelab.model.RoundOutcome` views of the columns, which ``perfbench/`` reads."""
+        return tuple(map(RoundOutcome, self.schedule.ms.tolist(), self.schedule.shots.tolist(), self.hits.tolist()))
 
 
 def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method) -> Schedule:
@@ -245,17 +257,19 @@ class _GridLikelihood:
     same likelihood again, so its tables and scan stop at pi/4.  Both
     depend only on the rounds' query counts ``ms``, so one instance serves
     every repetition and prefix of an experiment cell.  Its one entry
-    point, :meth:`fit`, scans each record with a running in-place
+    point, :meth:`fit`, takes the records' hits, derives their misses
+    from the schedule's shots, scans each record with a running in-place
     accumulation over a window of the grid that the saturated-binomial
     bound narrows as the rounds go (see :meth:`_scan`), and refines all
     brackets batched over their live terms (see :meth:`_refine`).
     """
 
-    def __init__(self, method: Method, ms, noise: NoiseModel, size: SystemSize) -> None:
-        if not len(ms):
+    def __init__(self, method: Method, schedule: Schedule, noise: NoiseModel, size: SystemSize) -> None:
+        if not len(schedule):
             raise ValueError("no rounds to fit")
         self.method = method
-        self.terms = prob_terms(method, ms, noise, size)
+        self._shots = schedule.shots
+        self.terms = prob_terms(method, schedule.ms, noise, size)
         n_q, r_pow, floor = self.terms
         first, inverse = np.unique(n_q, return_index=True, return_inverse=True)[1:]
         distinct = len(first)
@@ -409,12 +423,12 @@ class _GridLikelihood:
         out[idx] = 0.5 * (lo + hi)
         return out
 
-    def fit(self, hits: np.ndarray, misses: np.ndarray, ends) -> np.ndarray:
+    def fit(self, hits: np.ndarray, ends) -> np.ndarray:
         """Maximum-likelihood angle of every record after each round index in ``ends``.
 
-        ``hits``/``misses`` are ``(records, rounds)`` counts over the whole
-        schedule and ``ends`` strictly increasing round indices in
-        ``[0, rounds)``, else ``ValueError``; the result has shape
+        ``hits`` are ``(records, rounds)`` counts over the whole schedule,
+        whose shots give the misses, and ``ends`` strictly increasing round
+        indices in ``[0, rounds)``, else ``ValueError``; the result has shape
         ``(records, len(ends))``.  Records are scanned one at a time, and one
         whose log-likelihood is -inf at every grid angle is refused with a
         ``ValueError`` before any refinement.  The (record, end) brackets are
@@ -428,10 +442,11 @@ class _GridLikelihood:
         fold onto (0, pi/4].
         """
         # float counts: int64 ones would be cast in every table product
-        hits, misses = np.asarray(hits, dtype=float), np.asarray(misses, dtype=float)
+        hits = np.asarray(hits, dtype=float)
         records, rounds = hits.shape
         if rounds != len(self._logs):
             raise ValueError(f"counts cover {rounds} rounds, the schedule {len(self._logs)}")
+        misses = self._shots - hits
         ends = np.asarray(ends)
         indices = ends.ndim == 1 and len(ends) and ends.dtype.kind in "iu"
         if not indices or ends[0] < 0 or ends[-1] >= rounds or np.count_nonzero(ends[1:] <= ends[:-1]):
@@ -540,9 +555,8 @@ def mle_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize 
     domain edge returns that edge, 1e-12 or pi/2 - 1e-12.  See the module docstring
     for the grid rule and the method-Q mirror fold.
     """
-    schedule, hits = record.schedule, record.hits
-    grid = _GridLikelihood(record.method, schedule.ms, noise, size)
-    return float(grid.fit(hits[None], (schedule.shots - hits)[None], [len(hits) - 1])[0, 0])
+    grid = _GridLikelihood(record.method, record.schedule, noise, size)
+    return float(grid.fit(record.hits[None], [len(record.hits) - 1])[0, 0])
 
 
 def sample_hits(
@@ -580,9 +594,7 @@ def sample_record(
 
     The hits are one path of :func:`sample_hits`.
     """
-    hits = sample_hits(method, theta, schedule, noise, size, master_seed, *path)
-    columns = (schedule.ms.tolist(), schedule.shots.tolist(), hits.tolist())
-    return MeasurementRecord(method=method, outcomes=tuple(map(RoundOutcome, *columns)))
+    return MeasurementRecord(method, schedule, sample_hits(method, theta, schedule, noise, size, master_seed, *path))
 
 
 @dataclass(frozen=True)
@@ -669,12 +681,12 @@ def run_experiment(config: ExperimentConfig) -> RmseTable:
     rows: list[RmseRow] = []
     for method in config.methods:
         schedule = build_eis_schedule(config.base, config.rounds, config.shots, method)
-        grid = _GridLikelihood(method, schedule.ms, config.noise, config.size)
+        grid = _GridLikelihood(method, schedule, config.noise, config.size)
         thetas = [math.asin(math.sqrt(a)) for a in config.targets]
         draws = (schedule, config.noise, config.size, config.master_seed, _METHOD_CODE[method])
         reps = np.arange(config.repetitions)
         hits = np.concatenate([sample_hits(method, theta, *draws, ti, reps) for ti, theta in enumerate(thetas)])
-        estimates = grid.fit(hits, schedule.shots - hits, range(len(schedule)))
+        estimates = grid.fit(hits, range(len(schedule)))
         for a, theta, cell in zip(config.targets, thetas, np.split(estimates, len(thetas))):
             rmse = np.sqrt(np.mean((cell - theta) ** 2, axis=0))
             bounds = crb_curves(config, a, method)

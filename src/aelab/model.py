@@ -162,7 +162,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """One round of a record, ``hits`` good outcomes of ``shots`` after ``m`` steps: a view its record checks."""
+    """One round, ``hits`` good outcomes of ``shots`` after ``m`` steps: a sample_round draw, a record.outcomes view."""
 
     m: int
     shots: int
@@ -399,8 +399,12 @@ def breakeven_qubits(eps: float) -> float:
     """Register size at which the readout penalty halves the information.
 
     Solves ``(1 - eps)**n = 1/2``; at ``eps = 0.01`` this is just under 70
-    qubits.  ``eps = 0`` has no finite break-even and is rejected.
+    qubits.  ``eps = 0`` has no finite break-even and is rejected, as is an
+    ``eps`` so small (below about 4e-309) that the break-even overflows a float.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"readout error must lie in (0, 1), got {eps}")
-    return math.log(0.5) / math.log1p(-eps)
+    n = math.log(0.5) / math.log1p(-eps)
+    if math.isinf(n):
+        raise ValueError(f"readout error {eps!r} puts the break-even beyond the largest float")
+    return n

@@ -71,14 +71,18 @@ MAX_AMPLIFICATIONS = 64
 _FD_STEP = 1e-5
 
 
+# a factory's state_prep and state_prep_deriv both take W: one QR serves the pair
+@lru_cache(maxsize=1)
 def _random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded Haar-like unitary on n qubits: QR of a complex Ginibre matrix."""
+    """Seeded Haar-like unitary on n qubits: QR of a complex Ginibre matrix, read-only as it is shared."""
     dim = 2**n
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, n)))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     # fix the phase ambiguity so the result is deterministic and unitary
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    w = q * (np.diag(r) / np.abs(np.diag(r)))
+    w.flags.writeable = False
+    return w
 
 
 def _ry(angle: float) -> np.ndarray:

@@ -38,6 +38,10 @@ class TestBreakeven:
     def test_zero_is_usage_error(self):
         assert run_cli("breakeven", "0") == 1
 
+    def test_overflowing_break_even_is_usage_error(self, capsys):
+        assert run_cli("breakeven", "1e-320") == 1
+        assert "beyond the largest float" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("breakeven", "--bogus") == 1
 

@@ -12,7 +12,7 @@ from aelab import (
     MeasurementRecord,
     Method,
     NoiseModel,
-    RoundOutcome,
+    Schedule,
     SystemSize,
     build_eis_schedule,
     crb_curves,
@@ -37,21 +37,22 @@ half_grid_cases = dict(
 )
 
 
-def make_record(method: Method, sched, hits) -> MeasurementRecord:
-    """The record of ``sched``'s rounds with the given hits (as many rounds as both have)."""
-    return MeasurementRecord(method, tuple(map(RoundOutcome, sched.ms.tolist(), sched.shots.tolist(), hits)))
+def one_round(method: Method, m: int, shots: int, hits: int) -> MeasurementRecord:
+    """The record of a single round."""
+    return MeasurementRecord(method, Schedule([m], [shots]), [hits])
 
 
 def random_record(method: Method, rounds: int, hits) -> MeasurementRecord:
-    """``rounds`` rounds of the base-6/5 schedule (Q's m = 0 round dropped) with the given hits."""
-    return make_record(method, build_eis_schedule(6 / 5, rounds + (method is Method.Q), HALF_GRID_SHOTS, method), hits)
+    """``rounds`` rounds of the base-6/5 schedule (Q's m = 0 round dropped) with the first ``rounds`` hits."""
+    sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), HALF_GRID_SHOTS, method)
+    return MeasurementRecord(method, sched, hits[:rounds])
 
 
 def full_grid_estimate(record: MeasurementRecord, noise: NoiseModel, size: SystemSize) -> float:
     """The estimate the long way: the log-likelihood at every point of the
     engine's grid over (0, pi/2), its first argmax, the engine's bracket
     refinement, and the fold onto (0, pi/4] for Q."""
-    grid = _GridLikelihood(record.method, record.schedule.ms, noise, size)
+    grid = _GridLikelihood(record.method, record.schedule, noise, size)
     hits, misses = record.hits.astype(float), (record.schedule.shots - record.hits).astype(float)
     center = grid.theta[np.argmax(_loglik(grid.theta, grid.terms, hits, misses))]
     bracket = np.array([center]), hits[None], misses[None], np.zeros(1, int), np.array([len(hits) - 1])
@@ -75,10 +76,11 @@ def full_scan(grid: _GridLikelihood, hits, misses, ends) -> list[int]:
     return best
 
 
-def full_scan_fit(grid: _GridLikelihood, hits, misses, ends) -> np.ndarray:
+def full_scan_fit(grid: _GridLikelihood, hits, ends) -> np.ndarray:
     """``grid.fit`` with :func:`full_scan` in place of the engine's scan: the
     engine's refinement of every (record, end) bracket in one batch, and Q's fold."""
-    hits, misses, ends = np.asarray(hits, dtype=float), np.asarray(misses, dtype=float), np.asarray(ends)
+    hits, ends = np.asarray(hits, dtype=float), np.asarray(ends)
+    misses = grid._shots - hits
     centers = grid.theta[[full_scan(grid, h, m, set(ends.tolist())) for h, m in zip(hits, misses)]].ravel()
     rec, end = np.divmod(np.arange(len(centers)), len(ends))
     est = grid._refine(centers, hits, misses, rec, ends[end]).reshape(len(hits), len(ends))
@@ -155,23 +157,23 @@ class TestSchedule:
 
     def test_record_rejects_zero_round_for_q(self):
         with pytest.raises(ValueError):
-            MeasurementRecord(Method.Q, (RoundOutcome(0, 100, 0),))
+            one_round(Method.Q, 0, 100, 0)
 
 
 class TestLogLikelihood:
     def test_fifty_fifty(self):
-        rec = MeasurementRecord(Method.G, (RoundOutcome(0, 100, 50),))
+        rec = one_round(Method.G, 0, 100, 50)
         val = log_likelihood(rec, math.pi / 4, NoiseModel(1.0))
         assert val == pytest.approx(100 * math.log(0.5), rel=1e-12)
 
     def test_all_hits(self):
-        rec = MeasurementRecord(Method.G, (RoundOutcome(0, 100, 100),))
+        rec = one_round(Method.G, 0, 100, 100)
         val = log_likelihood(rec, math.pi / 6, NoiseModel(1.0))
         assert val == pytest.approx(100 * math.log(0.25), rel=1e-12)
 
     def test_inconsistent_deterministic_round(self):
         # a miss observed where the hit probability is exactly 1
-        rec = MeasurementRecord(Method.G, (RoundOutcome(1, 100, 99),))
+        rec = one_round(Method.G, 1, 100, 99)
         assert log_likelihood(rec, math.pi / 6, NoiseModel(1.0)) == -math.inf
 
     def test_finite_near_boundary_with_noise(self):
@@ -187,12 +189,12 @@ class TestLogLikelihood:
 
 class TestMle:
     def test_single_round_closed_form(self):
-        rec = MeasurementRecord(Method.G, (RoundOutcome(0, 100, 25),))
+        rec = one_round(Method.G, 0, 100, 25)
         theta = mle_estimate(rec, NoiseModel(1.0))
         assert abs(theta - math.pi / 6) < 1e-9
 
     def test_large_shot_consistency(self):
-        rec = MeasurementRecord(Method.G, (RoundOutcome(0, 10_000, 3344),))
+        rec = one_round(Method.G, 0, 10_000, 3344)
         theta = mle_estimate(rec, NoiseModel(1.0))
         assert theta == pytest.approx(math.asin(math.sqrt(0.3344)), abs=1e-8)
 
@@ -274,8 +276,8 @@ class TestMle:
             # absolute term covers a log-likelihood of exactly 0
             mirror = log_likelihood(rec, math.pi / 2 - est, noise, size)
             assert mirror == pytest.approx(here, rel=1e-12, abs=1e-15)
-        grid = _GridLikelihood(method, sched.ms, noise, size)
-        prefix = grid.fit(rec.hits[None], (sched.shots - rec.hits)[None], range(len(sched)))[0]
+        grid = _GridLikelihood(method, sched, noise, size)
+        prefix = grid.fit(rec.hits[None], range(len(sched)))[0]
         assert est == prefix[-1]  # one fit routine: the last prefix is the estimate, bit for bit
 
     @settings(max_examples=60, deadline=None)
@@ -292,7 +294,7 @@ class TestMle:
     def test_g_swapping_hits_and_misses_mirrors_the_estimate(self, r, size, rounds, hits):
         # odd query counts: p1(pi/2 - theta) = 1 - p1(theta)
         rec = random_record(Method.G, rounds, hits)
-        swapped = make_record(Method.G, rec.schedule, (rec.schedule.shots - rec.hits).tolist())
+        swapped = MeasurementRecord(Method.G, rec.schedule, rec.schedule.shots - rec.hits)
         est = mle_estimate(rec, NoiseModel(r), size)
         mirror = math.pi / 2 - mle_estimate(swapped, NoiseModel(r), size)
         assert mirror == pytest.approx(est, abs=1e-10)
@@ -301,7 +303,7 @@ class TestMle:
     def test_edge_pinned_maximum_is_the_edge(self, r):
         # near pi/2 log(p1) is flat to rounding within ~1e-8, so only the derivative's sign finds this edge
         def estimate(hits):
-            rec = MeasurementRecord(Method.G, (RoundOutcome(0, 99, hits), RoundOutcome(1, 99, hits)))
+            rec = MeasurementRecord(Method.G, Schedule([0, 1], [99, 99]), [hits, hits])
             return mle_estimate(rec, NoiseModel(r), SystemSize(2))
 
         assert estimate(99) == math.pi / 2 - 1e-12
@@ -310,15 +312,15 @@ class TestMle:
     def test_grid_follows_the_largest_query_count(self):
         # 32 points per period pi/n_q of the deepest round: 16 * (2*590 + 1)
         sched = build_eis_schedule(6 / 5, 37, 100, Method.G)
-        grid = _GridLikelihood(Method.G, sched.ms, NoiseModel(0.99), SystemSize(100))
+        grid = _GridLikelihood(Method.G, sched, NoiseModel(0.99), SystemSize(100))
         assert len(grid.theta) == 18_896
         short = build_eis_schedule(6 / 5, 5, 100, Method.G)
-        assert len(_GridLikelihood(Method.G, short.ms, NoiseModel(0.99), INFINITE).theta) == 4096
+        assert len(_GridLikelihood(Method.G, short, NoiseModel(0.99), INFINITE).theta) == 4096
 
     def test_refuses_schedule_the_grid_cannot_resolve(self):
         # 72 rounds reach n_q = 697,777: silently aliased on any affordable grid
         sched = build_eis_schedule(6 / 5, 72, 100, Method.G)
-        rec = make_record(Method.G, sched, (sched.shots // 2).tolist())
+        rec = MeasurementRecord(Method.G, sched, sched.shots // 2)
         with pytest.raises(ValueError, match="largest supported query count is"):
             mle_estimate(rec, NoiseModel(1.0))
 
@@ -328,16 +330,16 @@ class TestMle:
         noise, size = NoiseModel(0.5), SystemSize(100)
         sched = build_eis_schedule(6 / 5, 37, 1, Method.Q)
         hits = np.random.default_rng(1).integers(0, 1, 36, endpoint=True)
-        rec = make_record(Method.Q, sched, hits.tolist())
+        rec = MeasurementRecord(Method.Q, sched, hits)
         assert log_likelihood(rec, 0.3, noise, size) == -math.inf
         with pytest.raises(ValueError, match="no grid angle can produce the record"):
             mle_estimate(rec, noise, size)
         # every longer prefix of an impossible one is impossible too, so the last end decides
-        grid = _GridLikelihood(Method.Q, sched.ms, noise, size)
+        grid = _GridLikelihood(Method.Q, sched, noise, size)
         counts = np.stack([sched.shots, hits])  # an all-hit record, which every angle can produce, and the one above
         with pytest.raises(ValueError, match="no grid angle can produce the record"):
-            grid.fit(counts, sched.shots - counts, range(len(sched)))
-        assert grid.fit(counts, sched.shots - counts, [0, 5]).shape == (2, 2)
+            grid.fit(counts, range(len(sched)))
+        assert grid.fit(counts, [0, 5]).shape == (2, 2)
 
 
 class TestLikelihoodTables:
@@ -348,7 +350,7 @@ class TestLikelihoodTables:
     def test_tables_match_the_closed_form(self, method, r, size, rounds):
         # compared in probability space: where p1 rounds to within ulps of 1 log1p(-p1) is ill-conditioned,
         # and at r = 1 an exact zero of p1 can come out of the rounding as a tiny positive value
-        grid = _GridLikelihood(method, build_eis_schedule(6 / 5, rounds, 100, method).ms, NoiseModel(r), size)
+        grid = _GridLikelihood(method, build_eis_schedule(6 / 5, rounds, 100, method), NoiseModel(r), size)
         half = len(grid.theta) // 2
         assert grid.theta[half - 1] < math.pi / 4 < grid.theta[half]
         n_q, r_pow, floor = grid.terms
@@ -364,12 +366,12 @@ class TestLikelihoodTables:
     @pytest.mark.parametrize("ends", [[9, 9], [9, 3], [12], [10], [-1], [], [2.0], [[1, 2]]])
     def test_fit_refuses_ends_outside_the_schedule(self, ends):
         sched = build_eis_schedule(6 / 5, 10, 100, Method.G)
-        grid = _GridLikelihood(Method.G, sched.ms, NoiseModel(0.99), SystemSize(100))
+        grid = _GridLikelihood(Method.G, sched, NoiseModel(0.99), SystemSize(100))
         hits = np.tile(np.arange(40.0, 80.0, 4.0), (2, 1))
-        every = grid.fit(hits, 100.0 - hits, range(10))
-        assert np.array_equal(grid.fit(hits, 100.0 - hits, [3, 9]), every[:, [3, 9]])
+        every = grid.fit(hits, range(10))
+        assert np.array_equal(grid.fit(hits, [3, 9]), every[:, [3, 9]])
         with pytest.raises(ValueError, match="strictly increasing round indices in \\[0, 10\\)"):
-            grid.fit(hits, 100.0 - hits, ends)
+            grid.fit(hits, ends)
 
 
 class TestRefinement:
@@ -378,10 +380,10 @@ class TestRefinement:
         """A run_experiment cell's grid and its estimates at every prefix."""
         cfg = ExperimentConfig(rounds=14, repetitions=8, master_seed=23)
         sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
-        grid = _GridLikelihood(method, sched.ms, cfg.noise, cfg.size)
+        grid = _GridLikelihood(method, sched, cfg.noise, cfg.size)
         cell = (cfg.master_seed, _METHOD_CODE[method], 2, np.arange(cfg.repetitions))
         hits = sample_hits(method, math.asin(math.sqrt(1 / 6)), sched, cfg.noise, cfg.size, *cell)
-        return grid, grid.fit(hits, sched.shots - hits, range(len(sched)))
+        return grid, grid.fit(hits, range(len(sched)))
 
     @pytest.mark.parametrize("method", list(Method))
     def test_refine_blocks_leave_every_estimate_unchanged(self, method, monkeypatch):
@@ -408,7 +410,7 @@ class TestRefinement:
         # only the order of the per-bracket sums differs, and an edge-pinned bracket returns the same edge
         noise = NoiseModel(r)
         sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), 100, method)
-        grid = _GridLikelihood(method, sched.ms, noise, size)
+        grid = _GridLikelihood(method, sched, noise, size)
         if kind == "sampled":
             hits = sample_hits(method, theta, sched, noise, size, seed).astype(float)
         else:
@@ -452,7 +454,7 @@ class TestPrunedScan:
         # the argmax at every prefix, as fit(..., range(rounds)) asks, and at one end, as mle_estimate asks
         noise = NoiseModel(r)
         sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), shots, method)
-        grid = _GridLikelihood(method, sched.ms, noise, size)
+        grid = _GridLikelihood(method, sched, noise, size)
         if kind == "sampled":
             hits = sample_hits(method, theta, sched, noise, size, seed).astype(float)
         elif kind == "uniform":
@@ -468,7 +470,7 @@ class TestPrunedScan:
         # at r = 0.5, R = r**n_q is below 1e-17 from round 20 on, so every G grid point has p1 = 1/2 exactly;
         # rounds with hits = misses then add exactly their saturated term everywhere, the bound's slack is zero,
         # and G's mirror points tie up to rounding: only the prune margin keeps the argmax (and c) in the window
-        grid = _GridLikelihood(Method.G, build_eis_schedule(6 / 5, 37, shots, Method.G).ms, NoiseModel(0.5), INFINITE)
+        grid = _GridLikelihood(Method.G, build_eis_schedule(6 / 5, 37, shots, Method.G), NoiseModel(0.5), INFINITE)
         hits = np.full(37, shots / 2)
         for ends in (set(range(37)), {36}):
             assert grid._scan(hits, hits, ends) == full_scan(grid, hits, hits, ends)
@@ -480,12 +482,12 @@ class TestPrunedScan:
         table = run_experiment(cfg)
         for method in cfg.methods:
             sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
-            grid = _GridLikelihood(method, sched.ms, cfg.noise, cfg.size)
+            grid = _GridLikelihood(method, sched, cfg.noise, cfg.size)
             for ti, a in enumerate(cfg.targets):
                 theta = math.asin(math.sqrt(a))
                 cell = (cfg.master_seed, _METHOD_CODE[method], ti, np.arange(cfg.repetitions))
                 hits = sample_hits(method, theta, sched, cfg.noise, cfg.size, *cell)
-                estimates = full_scan_fit(grid, hits, sched.shots - hits, range(len(sched)))
+                estimates = full_scan_fit(grid, hits, range(len(sched)))
                 rmse = np.sqrt(np.mean((estimates - theta) ** 2, axis=0))
                 assert [row.rmse for row in table.select(method, a)] == rmse.tolist()
 
@@ -503,6 +505,42 @@ class TestPrunedScan:
 def test_refuses(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rounds", 5.5), ("rounds", 5.0), ("shots", 100.0), ("repetitions", 2.5), ("repetitions", True),
+     ("master_seed", 1.5), ("master_seed", False), ("shots", "100")],
+    ids=["rounds-float", "rounds-whole-float", "shots-float", "reps-float", "reps-true", "seed-float",
+         "seed-false", "shots-str"],
+)
+def test_config_refuses_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        ExperimentConfig(**{field: value})
+    assert getattr(ExperimentConfig(**{field: np.int64(3)}), field) == 3
+
+
+class TestRecordColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        r=st.floats(min_value=0.5, max_value=1.0),
+        size=sizes,
+        rounds=st.integers(min_value=1, max_value=20),
+        theta=st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_outcomes_reproduce_the_columns(self, method, r, size, rounds, theta, seed, data):
+        # a sampled record and one of random counts: each outcome is round k's m, shots and hits
+        sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), 1 + seed % 200, method)
+        hits = [data.draw(st.integers(min_value=0, max_value=n)) for n in sched.shots.tolist()]
+        sampled = sample_record(method, theta, sched, NoiseModel(r), size, seed)
+        for rec in (sampled, MeasurementRecord(method, sched, hits)):
+            assert [oc.m for oc in rec.outcomes] == sched.ms.tolist()
+            assert [oc.shots for oc in rec.outcomes] == sched.shots.tolist()
+            assert [oc.hits for oc in rec.outcomes] == rec.hits.tolist()
+            assert rec.schedule is sched and rec.hits.dtype == np.int64 and not rec.hits.flags.writeable
 
 
 class TestCrbCurves:
@@ -554,10 +592,10 @@ class TestRunExperiment:
         sched = build_eis_schedule(cfg.base, cfg.rounds, cfg.shots, method)
         theta = math.asin(math.sqrt(1 / 6))
         rec = sample_record(method, theta, sched, cfg.noise, cfg.size, cfg.master_seed, 0, ti, rep)
-        grid = _GridLikelihood(method, sched.ms, cfg.noise, cfg.size)
-        prefix_ests = grid.fit(rec.hits[None], (sched.shots - rec.hits)[None], range(len(sched)))[0]
+        grid = _GridLikelihood(method, sched, cfg.noise, cfg.size)
+        prefix_ests = grid.fit(rec.hits[None], range(len(sched)))[0]
         for k in (0, 3, 6):
-            short = MeasurementRecord(method, rec.outcomes[: k + 1])
+            short = MeasurementRecord(method, Schedule(sched.ms[: k + 1], sched.shots[: k + 1]), rec.hits[: k + 1])
             assert prefix_ests[k] == pytest.approx(
                 mle_estimate(short, cfg.noise, cfg.size), abs=1e-11
             )

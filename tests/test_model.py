@@ -10,7 +10,6 @@ from aelab import (
     MeasurementRecord,
     Method,
     NoiseModel,
-    RoundOutcome,
     Schedule,
     SystemSize,
     breakeven_qubits,
@@ -19,7 +18,7 @@ from aelab import (
     query_count,
     readout_factor,
 )
-from aelab.model import decay, derive_seed, draw_hits, sample_round, seed_keys
+from aelab.model import RoundOutcome, decay, derive_seed, draw_hits, sample_round, seed_keys
 
 SIZES = [SystemSize(1), SystemSize(10), SystemSize(100), INFINITE]
 
@@ -74,17 +73,30 @@ class TestTypes:
             Schedule(ms, shots)
 
     def test_round_outcome_validation(self):
-        # a round outcome is a plain view; the record that holds it checks its counts
+        # a round outcome is a plain view of a record's columns; the record and its schedule check the counts
         def record(m, shots, hits):
-            return MeasurementRecord(Method.G, (RoundOutcome(0, 10, 5), RoundOutcome(m=m, shots=shots, hits=hits)))
+            return MeasurementRecord(Method.G, Schedule([0, m], [10, shots]), [5, hits])
 
         assert record(0, 10, 10).hits.tolist() == [5, 10]
+        assert record(0, 10, 10).outcomes == (RoundOutcome(0, 10, 5), RoundOutcome(m=0, shots=10, hits=10))
         with pytest.raises(ValueError, match=r"hits must lie in \[0, 10\], got 11"):
             record(0, 10, 11)
         with pytest.raises(ValueError, match=r"hits must lie in \[0, 10\], got -1"):
             record(0, 10, -1)
         with pytest.raises(ValueError, match="amplification count must be >= 0, got -1"):
             record(-1, 10, 0)
+        with pytest.raises(ValueError, match="must be a 1-d sequence of integers"):
+            record(0, 10, 2.5)
+
+    @pytest.mark.parametrize("hits", [[5], [5, 6, 7], []], ids=["short", "long", "empty"])
+    def test_record_refuses_hits_of_another_length(self, hits):
+        with pytest.raises(ValueError, match=f"hits must have the schedule's length 2, got {len(hits)}"):
+            MeasurementRecord(Method.G, Schedule([0, 1], [10, 10]), hits)
+
+    def test_record_of_no_rounds(self):
+        # written MeasurementRecord(method, ()): an empty schedule and hits column
+        empty = MeasurementRecord(Method.G, ())
+        assert len(empty.schedule) == 0 and empty.hits.tolist() == [] and empty.outcomes == ()
 
 
 @pytest.mark.parametrize(
@@ -308,3 +320,10 @@ class TestReadout:
     def test_breakeven_rejects(self, eps):
         with pytest.raises(ValueError):
             breakeven_qubits(eps)
+
+    @pytest.mark.parametrize("eps", [1e-320, 5e-324, 3e-309])
+    def test_breakeven_refuses_an_overflowing_register(self, eps):
+        # log(1/2) / log1p(-eps) is past the largest float here
+        with pytest.raises(ValueError, match="beyond the largest float"):
+            breakeven_qubits(eps)
+        assert math.isfinite(breakeven_qubits(1e-308))
