@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -38,7 +37,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .estimator import ExperimentConfig, RmseRow, run_experiment
+from .estimator import ExperimentConfig, run_experiment
 from .fisher import classical_fisher, classical_fisher_envelope, quantum_fisher
 from .model import INFINITE, Method, NoiseModel, SystemSize, breakeven_qubits
 from .refsim import run_equivalence_suite
@@ -102,8 +101,9 @@ def _flags(parser: _Parser) -> dict[str, str]:
     return {a.dest: a.option_strings[-1] for a in parser._actions if a.dest not in ("help", "config")}
 
 
-def _write_rows(args: argparse.Namespace, fieldnames: list[str], rows: list[dict]) -> None:
-    """``rows`` to ``--out`` in ``--format``, headed by the tool, the command and every other flag as parsed."""
+def _write_rows(args: argparse.Namespace, rows: list[dict]) -> None:
+    """``rows`` to ``--out`` in ``--format``, headed by the tool, the command and every other flag as parsed;
+    the CSV columns are the first row's keys."""
     metadata = {"tool": f"aelab {__version__}", "command": args.command}
     metadata.update((k, getattr(args, k)) for k in _flags(args.parser) if k not in ("out", "format"))
     if args.format == "json":
@@ -114,7 +114,7 @@ def _write_rows(args: argparse.Namespace, fieldnames: list[str], rows: list[dict
     with open(args.out, "w", newline="") as fh:
         for key, value in metadata.items():
             fh.write(f"# {key}={value}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -147,7 +147,7 @@ def cmd_fisher_curves(args: argparse.Namespace) -> int:
                 {"n_q": float(nq), "value": float(v), "series_label": f"{label}@n={tag}"}
                 for nq, v in zip(grid, values)
             )
-    _write_rows(args, ["n_q", "value", "series_label"], rows)
+    _write_rows(args, rows)
     print(f"wrote {len(rows)} curve points to {cfg['out']}")
     return 0
 
@@ -168,7 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     table = run_experiment(config)
     elapsed = time.perf_counter() - t0
-    _write_rows(args, [f.name for f in dataclasses.fields(RmseRow)], table.as_dicts())
+    _write_rows(args, table.as_dicts())
     print(f"wrote {len(table.rows)} rows to {cfg['out']}", file=sys.stdout)
     print(f"simulate finished in {elapsed:.1f}s", file=sys.stderr)
     return 0
@@ -189,40 +189,20 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
         perturb_r=cfg["selftest_perturb_r"],
     )
     elapsed = time.perf_counter() - t0
-    rows = []
-    for case in report.cases:
-        rows.append(
-            {
-                "method": case.method.value,
-                "n": case.n,
-                "m": case.m,
-                "r": case.r,
-                "theta": case.theta,
-                "prob_dev": case.prob_dev,
-                "qfi_rel_dev": case.qfi_rel_dev,
-                "bound_excess": case.bound_excess,
-                "rotation_dev": "" if case.rotation_dev is None else case.rotation_dev,
-                "cfi_rel_dev": "" if case.cfi_rel_dev is None else case.cfi_rel_dev,
-                "status": "pass" if case.passed else "FAIL: " + "; ".join(case.failures),
-            }
-        )
-    _write_rows(args, list(rows[0]), rows)
+    rows = report.as_dicts()
+    _write_rows(args, rows)
+    failed = [row for row in rows if row["status"] != "pass"]
     print(
-        f"{report.n_cases} cases, {report.n_failed} failures; "
+        f"{report.n_cases} cases, {len(failed)} failures; "
         f"max probability dev {report.worst('prob_dev'):.3e}, "
         f"max qfi rel dev {report.worst('qfi_rel_dev'):.3e}"
     )
     print(f"oracle-verify finished in {elapsed:.1f}s", file=sys.stderr)
-    if not report.all_passed:
-        for case in report.cases:
-            if not case.passed:
-                print(
-                    f"FAIL method={case.method.value} n={case.n} m={case.m} r={case.r}: "
-                    + "; ".join(case.failures),
-                    file=sys.stderr,
-                )
-        return 2
-    return 0
+    for row in failed:
+        # the row's status with its cell after the FAIL tag
+        cell = "method={method} n={n} m={m} r={r}".format_map(row)
+        print(row["status"].replace("FAIL:", f"FAIL {cell}:", 1), file=sys.stderr)
+    return 2 if failed else 0
 
 
 def cmd_breakeven(args: argparse.Namespace) -> int:

@@ -657,8 +657,8 @@ class RmseTable:
         return [r for r in out if a is None or math.isclose(r.a, a)]
 
     def as_dicts(self) -> list[dict]:
-        names = [f.name for f in fields(RmseRow)]
-        return [{**{k: getattr(row, k) for k in names}, "method": row.method.value} for row in self.rows]
+        """One output row per RmseRow, its fields in order, the method as its tag."""
+        return [{**vars(row), "method": row.method.value} for row in self.rows]
 
 
 # method tags get fixed seed-path codes so that restricting the method list
@@ -690,18 +690,9 @@ def run_experiment(config: ExperimentConfig) -> RmseTable:
         for a, theta, cell in zip(config.targets, thetas, np.split(estimates, len(thetas))):
             rmse = np.sqrt(np.mean((cell - theta) ** 2, axis=0))
             bounds = crb_curves(config, a, method)
-            for k in range(len(schedule)):
-                rows.append(
-                    RmseRow(
-                        method=method,
-                        a=a,
-                        prefix=k + 1,
-                        n_q_tot=int(bounds.n_q_tot[k]),
-                        rmse=float(rmse[k]),
-                        crb_classical=float(bounds.classical[k]),
-                        crb_quantum=float(bounds.quantum[k]),
-                        crb_noiseless=float(bounds.noiseless[k]),
-                        crb_no_amplification=float(bounds.no_amplification[k]),
-                    )
-                )
+            # RmseRow's fields in order: the cell, then the CrbCurves columns with the rmse after n_q_tot
+            n_q_tot, *crbs = (getattr(bounds, f.name).tolist() for f in fields(CrbCurves))
+            rows.extend(
+                RmseRow(method, a, k, *row) for k, row in enumerate(zip(n_q_tot, rmse.tolist(), *crbs), start=1)
+            )
     return RmseTable(rows=tuple(rows))

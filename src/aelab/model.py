@@ -46,6 +46,7 @@ hits.  So the draws do not depend on call order, batching or threading.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -110,8 +111,9 @@ class SystemSize:
     def __post_init__(self) -> None:
         if math.isinf(self.n):
             return
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"qubit count must be a positive integer or inf, got {self.n!r}")
+        self.__dict__.update(n=int(self.n))  # frozen: a numpy integer is kept as the int it equals
 
     @property
     def is_infinite(self) -> bool:
@@ -185,8 +187,11 @@ def query_count(method: Method, m) -> int | np.ndarray:
 
     ``2*m + 1`` for :attr:`Method.G` (the initial preparation counts),
     ``2*m`` for :attr:`Method.Q`; an integer array for an array ``m``.
+    ``m`` must hold integers: a float or bool count is refused.
     """
     ms = np.asarray(m)
+    if ms.dtype.kind not in "iu":
+        raise ValueError(f"amplification count must be an integer, got {m!r}")
     if np.count_nonzero(ms < 0):
         raise ValueError(f"amplification count must be >= 0, got {m}")
     n_q = 2 * ms + 1 if method is Method.G else 2 * ms

@@ -421,26 +421,23 @@ class EquivalenceCase:
     rotation_dev: float | None
     cfi_rel_dev: float | None
 
-    PROB_TOL = 1e-10
-    QFI_TOL = 1e-8
-    BOUND_TOL = 1e-9
-    ROTATION_TOL = 1e-10
-    CFI_TOL = 1e-6
+    # (deviation field, failure label, tolerance) of each check, in output-column order;
+    # a plain class attribute, not a field, and a None deviation is a check not made
+    CHECKS = (
+        ("prob_dev", "probability dev", 1e-10),
+        ("qfi_rel_dev", "qfi rel dev", 1e-8),
+        ("bound_excess", "bound exceeded by", 1e-9),
+        ("rotation_dev", "rotation dev", 1e-10),
+        ("cfi_rel_dev", "cfi rel dev", 1e-6),
+    )
 
     @property
     def failures(self) -> list[str]:
-        bad = []
-        if self.prob_dev > self.PROB_TOL:
-            bad.append(f"probability dev {self.prob_dev:.3e}")
-        if self.qfi_rel_dev > self.QFI_TOL:
-            bad.append(f"qfi rel dev {self.qfi_rel_dev:.3e}")
-        if self.bound_excess > self.BOUND_TOL:
-            bad.append(f"bound exceeded by {self.bound_excess:.3e}")
-        if self.rotation_dev is not None and self.rotation_dev > self.ROTATION_TOL:
-            bad.append(f"rotation dev {self.rotation_dev:.3e}")
-        if self.cfi_rel_dev is not None and self.cfi_rel_dev > self.CFI_TOL:
-            bad.append(f"cfi rel dev {self.cfi_rel_dev:.3e}")
-        return bad
+        return [
+            f"{label} {dev:.3e}"
+            for name, label, tol in self.CHECKS
+            if (dev := getattr(self, name)) is not None and dev > tol
+        ]
 
     @property
     def passed(self) -> bool:
@@ -462,6 +459,17 @@ class EquivalenceReport:
     @property
     def all_passed(self) -> bool:
         return self.n_failed == 0
+
+    def as_dicts(self) -> list[dict]:
+        """One output row per case: its cell, each check's deviation ("" where not made) and its status."""
+        return [
+            {
+                "method": c.method.value, "n": c.n, "m": c.m, "r": c.r, "theta": c.theta,
+                **{name: "" if getattr(c, name) is None else getattr(c, name) for name, _, _ in c.CHECKS},
+                "status": "FAIL: " + "; ".join(failures) if (failures := c.failures) else "pass",
+            }
+            for c in self.cases
+        ]
 
     def worst(self, attr: str) -> float:
         vals = [getattr(c, attr) for c in self.cases if getattr(c, attr) is not None]

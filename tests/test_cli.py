@@ -215,6 +215,32 @@ class TestOracleVerify:
         _, rows = read_csv(out)
         assert any(r["status"].startswith("FAIL") for r in rows)
 
+    def test_fault_injection_pins_status_and_fail_lines(self, tmp_path, capsys):
+        out = tmp_path / "verify.csv"
+        code = run_cli("oracle-verify", "--n-qubits", "1", "--m-values", "0,1", "--r-values", "1,0.5", "--seeds", "1",
+                       "--selftest-perturb-r", "0.01", "--out", str(out))
+        assert code == 2
+        _, rows = read_csv(out)
+        assert [r["status"] for r in rows] == [
+            "FAIL: probability dev 2.599e-03; qfi rel dev 1.497e-02; cfi rel dev 2.707e-02",
+            "pass",
+            "FAIL: probability dev 1.300e-03; qfi rel dev 1.662e-02; cfi rel dev 2.131e-02",
+            "pass",
+            "FAIL: probability dev 1.481e-02; qfi rel dev 4.433e-02; cfi rel dev 9.282e-01",
+            "FAIL: probability dev 4.038e-04; qfi rel dev 2.975e-02; cfi rel dev 3.850e-02",
+            "FAIL: probability dev 1.852e-03; qfi rel dev 5.540e-02; cfi rel dev 5.939e-02",
+            "FAIL: probability dev 1.009e-04; qfi rel dev 3.557e-02; cfi rel dev 3.915e-02",
+        ]
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("FAIL")] == [
+            "FAIL method=g n=1 m=0 r=1.0: probability dev 2.599e-03; qfi rel dev 1.497e-02; cfi rel dev 2.707e-02",
+            "FAIL method=g n=1 m=0 r=0.5: probability dev 1.300e-03; qfi rel dev 1.662e-02; cfi rel dev 2.131e-02",
+            "FAIL method=g n=1 m=1 r=1.0: probability dev 1.481e-02; qfi rel dev 4.433e-02; cfi rel dev 9.282e-01",
+            "FAIL method=q n=1 m=1 r=1.0: probability dev 4.038e-04; qfi rel dev 2.975e-02; cfi rel dev 3.850e-02",
+            "FAIL method=g n=1 m=1 r=0.5: probability dev 1.852e-03; qfi rel dev 5.540e-02; cfi rel dev 5.939e-02",
+            "FAIL method=q n=1 m=1 r=0.5: probability dev 1.009e-04; qfi rel dev 3.557e-02; cfi rel dev 3.915e-02",
+        ]
+
     def test_oversized_register_is_usage_error(self, tmp_path):
         assert run_cli("oracle-verify", "--n-qubits", "9",
                        "--out", str(tmp_path / "v.csv")) == 1

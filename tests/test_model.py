@@ -40,10 +40,17 @@ class TestTypes:
         assert INFINITE.inv_d == 0.0
         assert INFINITE.is_infinite
 
-    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, np.True_, np.float64(3.0)])
     def test_system_size_rejects(self, n):
         with pytest.raises(ValueError):
             SystemSize(n)
+
+    @pytest.mark.parametrize("n", [np.int64(100), np.int32(3), np.uint8(1)])
+    def test_system_size_takes_numpy_integers(self, n):
+        # ExperimentConfig's integer rule: any integral type but bool, kept as the int it equals
+        size = SystemSize(n)
+        assert type(size.n) is int and size == SystemSize(int(n)) and size.inv_d == 2.0 ** -int(n)
+        assert repr(size) == repr(SystemSize(int(n)))
 
     def test_schedule_keeps_duplicates_and_counts_queries(self):
         ms = [0, 1, 1]
@@ -121,10 +128,24 @@ class TestQueryCount:
         assert query_count(Method.Q, 0) == 0
         assert query_count(Method.Q, 3) == 6
         assert query_count(Method.G, 3) == 7
+        assert query_count(Method.G, np.int64(3)) == 7
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             query_count(Method.G, -1)
+
+    @pytest.mark.parametrize(
+        "m",
+        [1.3, 3.0, np.array([1.3]), np.array([0.0, 2.0]), True, np.array([True, False])],
+        ids=["1.3", "3.0", "array-1.3", "array-float", "True", "array-bool"],
+    )
+    @pytest.mark.parametrize("method", list(Method))
+    def test_rejects_non_integer_counts(self, method, m):
+        # a scalar call would truncate where the array call kept the fraction
+        with pytest.raises(ValueError, match="amplification count must be an integer"):
+            query_count(method, m)
+        with pytest.raises(ValueError, match="amplification count must be an integer"):
+            prob_good(method, 0.3, m, NoiseModel(0.9))
 
 
 class TestProbGood:

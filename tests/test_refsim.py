@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher, query_count, refsim
 from aelab.refsim import (
     MAX_AMPLIFICATIONS,
+    EquivalenceCase,
+    EquivalenceReport,
     UnitaryFactory,
     _spectral_qfi,
     depolarize,
@@ -450,6 +453,40 @@ class TestEquivalenceSuite:
             n_values=(1,), m_values=(1,), r_values=(0.9,), seeds=2, perturb_r=1e-3
         )
         assert not report.all_passed
+
+
+def _case(**devs) -> EquivalenceCase:
+    """A noiseless Q case whose deviations are all 0.0 but those given."""
+    zero = dict(prob_dev=0.0, qfi_rel_dev=0.0, bound_excess=0.0, bound_rel_gap=0.0, rotation_dev=0.0, cfi_rel_dev=0.0)
+    return EquivalenceCase(Method.Q, 1, 1, 1.0, 0.3, 0, **{**zero, **devs})
+
+
+class TestChecks:
+    @pytest.mark.parametrize("name, label, tol", EquivalenceCase.CHECKS, ids=[c[0] for c in EquivalenceCase.CHECKS])
+    def test_tolerance_is_the_last_passing_value(self, name, label, tol):
+        above = float(np.nextafter(tol, 1))
+        assert _case(**{name: tol}).failures == []
+        assert _case(**{name: above}).failures == [f"{label} {above:.3e}"]
+        assert _case(**{name: None}).passed  # a check not made never fails
+
+    def test_every_failure_in_table_order(self):
+        case = _case(**{name: 1.0 for name, _, _ in EquivalenceCase.CHECKS})
+        assert case.failures == [f"{label} 1.000e+00" for _, label, _ in EquivalenceCase.CHECKS]
+        assert not case.passed
+
+    def test_table_tolerances_and_columns(self):
+        # no tolerance is loosened, and the table is a class attribute that repr does not show
+        assert [(name, tol) for name, _, tol in EquivalenceCase.CHECKS] == [
+            ("prob_dev", 1e-10), ("qfi_rel_dev", 1e-8), ("bound_excess", 1e-9), ("rotation_dev", 1e-10),
+            ("cfi_rel_dev", 1e-6),
+        ]
+        assert "CHECKS" not in [f.name for f in dataclasses.fields(EquivalenceCase)]
+        assert "CHECKS" not in repr(_case())
+        row = EquivalenceReport((_case(),)).as_dicts()[0]
+        assert list(row) == [
+            "method", "n", "m", "r", "theta", "prob_dev", "qfi_rel_dev", "bound_excess", "rotation_dev", "cfi_rel_dev",
+            "status",
+        ]
 
 
 @pytest.mark.parametrize(
