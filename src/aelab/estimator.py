@@ -76,7 +76,6 @@ call) move a bit of it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -89,6 +88,7 @@ from .model import (
     RoundOutcome,
     Schedule,
     SystemSize,
+    _as_int,
     _check_theta,
     _count_column,
     derive_seed,  # noqa: F401  perfbench/layers.py traces aelab.estimator.derive_seed
@@ -145,16 +145,10 @@ class ExperimentConfig:
     methods: tuple[Method, ...] = (Method.G, Method.Q)
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "shots", "repetitions", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1.0 < self.base < math.inf:
-            raise ValueError(f"schedule base must be finite and exceed 1, got {self.base}")
-        if self.master_seed < 0:
-            raise ValueError(f"master seed must be a non-negative integer, got {self.master_seed}")
-        if self.rounds < 1 or self.shots < 1 or self.repetitions < 1:
-            raise ValueError("rounds, shots and repetitions must all be >= 1")
+        counts = (("rounds", 1), ("shots", 1), ("repetitions", 1), ("master_seed", 0))
+        # frozen: set the checked Python ints past __setattr__
+        self.__dict__.update((name, _as_int(getattr(self, name), name, lo)) for name, lo in counts)
+        build_eis_schedule(self.base, 0, self.shots, Method.G)  # refuses a base the schedule rule cannot take
         if not self.targets:
             raise ValueError("at least one target is required")
         if not all(0.0 < a < 1.0 for a in self.targets):
@@ -179,12 +173,9 @@ class MeasurementRecord:
 
     def __post_init__(self) -> None:
         schedule = Schedule((), ()) if self.schedule == () else self.schedule
-        hits = _count_column(self.hits)
-        if len(hits) != len(schedule):
-            raise ValueError(f"hits must have the schedule's length {len(schedule)}, got {len(hits)}")
-        bad = np.flatnonzero((hits < 0) | (hits > schedule.shots))
-        if len(bad):
-            raise ValueError(f"hits must lie in [0, {schedule.shots[bad[0]]}], got {hits[bad[0]]}")
+        if np.ndim(self.hits) == 1 and len(self.hits) != len(schedule):
+            raise ValueError(f"hits must have the schedule's length {len(schedule)}, got {len(self.hits)}")
+        hits = _count_column(self.hits, "hits", 0, schedule.shots)
         if self.method is Method.Q and np.count_nonzero(schedule.ms == 0):
             raise ValueError("zero-amplification rounds carry no signal for method Q and must be dropped")
         self.__dict__.update(schedule=schedule, hits=hits)
@@ -204,7 +195,7 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     """
     if not 1.0 < base < math.inf:
         raise ValueError(f"schedule base must be finite and exceed 1, got {base}")
-    ms = [math.floor(base ** (k - 1)) for k in range(num_rounds)]
+    ms = [math.floor(base ** (k - 1)) for k in range(_as_int(num_rounds, "num_rounds"))]
     if method is Method.Q:
         ms = [m for m in ms if m > 0]
     return Schedule(ms, [shots] * len(ms))

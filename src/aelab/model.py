@@ -79,6 +79,42 @@ class Method(Enum):
     Q = "q"
 
 
+def _as_int(value, name: str, lo: int = 0, hi=None):
+    """``value`` as a Python int if it is an integer scalar (of any size), else as
+    an int64 array, once every entry is an integer in ``[lo, hi]`` (no upper bound
+    where ``hi`` is None; an array ``hi`` of ``value``'s shape bounds entry by
+    entry).  A bool, float or string is not an integer, whatever its value.  Else
+    ``ValueError`` naming ``name`` and the first bad entry as a Python value.
+    """
+    if type(value) is np.ndarray and value.dtype.kind in "iu":  # first: the hot calls pass schedule columns
+        array = value
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+        if lo <= value and (hi is None or value <= hi):
+            return value
+        array = np.asarray(value)  # refused below
+    else:
+        array = np.asarray(value)
+        if array.size and (array.dtype.kind not in "iu" or not isinstance(value, np.ndarray)):
+            # the entries as given: numpy would read a bool in a list of ints as 0 or 1
+            entries = np.asarray(value, dtype=object)
+            for entry in entries.flat:
+                if isinstance(entry, bool) or not isinstance(entry, numbers.Integral):
+                    entry = entry.item() if isinstance(entry, np.generic) else entry
+                    raise ValueError(f"{name} must be an integer, got {entry!r}")
+            if array.dtype.kind not in "iu":  # integers no one numpy integer type holds: compare them as Python ints
+                array = entries
+    if array.dtype.kind != "i" and hi is None:  # uint64 or Python ints can pass int64
+        hi = 2**63 - 1
+    outside = array < lo if hi is None else (array < lo) | (array > hi)
+    if np.count_nonzero(outside):
+        i = np.flatnonzero(outside)[0]
+        rule = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi if np.ndim(hi) == 0 else hi.flat[i]}]"
+        raise ValueError(f"{name} must {rule}, got {int(array.flat[i])}")
+    array = array.astype(np.int64, copy=False)
+    return int(array) if array.ndim == 0 else array
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Depolarizing survival probability ``r`` per query, in ``(0, 1]``.
@@ -109,11 +145,8 @@ class SystemSize:
     n: int | float
 
     def __post_init__(self) -> None:
-        if math.isinf(self.n):
-            return
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValueError(f"qubit count must be a positive integer or inf, got {self.n!r}")
-        self.__dict__.update(n=int(self.n))  # frozen: a numpy integer is kept as the int it equals
+        if self.n != math.inf:
+            self.__dict__.update(n=_as_int(self.n, "qubit count", 1))  # frozen: kept as the int it equals
 
     @property
     def is_infinite(self) -> bool:
@@ -127,12 +160,11 @@ class SystemSize:
 INFINITE = SystemSize(math.inf)
 
 
-def _count_column(values) -> np.ndarray:
-    """``values`` as a read-only 1-d int64 copy; ``ValueError`` unless they are integers."""
-    column = np.asarray(values)
-    if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+def _count_column(values, name: str, lo: int = 0, hi=None) -> np.ndarray:
+    """``values`` as a read-only 1-d int64 copy, after :func:`_as_int`'s integer rule."""
+    if np.ndim(values) != 1:
         raise ValueError(f"round counts must be a 1-d sequence of integers, got {values!r}")
-    column = column.astype(np.int64)
+    column = np.array(_as_int(values, name, lo, hi))  # a copy: an array passed in stays writeable
     column.flags.writeable = False
     return column
 
@@ -149,13 +181,9 @@ class Schedule:
     shots: np.ndarray
 
     def __post_init__(self) -> None:
-        ms, shots = _count_column(self.ms), _count_column(self.shots)
+        ms, shots = _count_column(self.ms, "amplification count"), _count_column(self.shots, "shot count", 1)
         if len(ms) != len(shots):
             raise ValueError(f"ms and shots must have one length, got {len(ms)} and {len(shots)}")
-        if np.count_nonzero(ms < 0):
-            raise ValueError(f"amplification count must be >= 0, got {ms[ms < 0][0]}")
-        if np.count_nonzero(shots < 1):
-            raise ValueError(f"shot count must be >= 1, got {shots[shots < 1][0]}")
         self.__dict__.update(ms=ms, shots=shots)  # frozen: set the checked copies past __setattr__
 
     def __len__(self) -> int:
@@ -187,15 +215,14 @@ def query_count(method: Method, m) -> int | np.ndarray:
 
     ``2*m + 1`` for :attr:`Method.G` (the initial preparation counts),
     ``2*m`` for :attr:`Method.Q`; an integer array for an array ``m``.
-    ``m`` must hold integers: a float or bool count is refused.
+    ``m`` must hold integers >= 0 (:func:`_as_int`), widened to int64 before
+    the arithmetic so that a narrow integer type cannot wrap.
     """
-    ms = np.asarray(m)
-    if ms.dtype.kind not in "iu":
-        raise ValueError(f"amplification count must be an integer, got {m!r}")
-    if np.count_nonzero(ms < 0):
-        raise ValueError(f"amplification count must be >= 0, got {m}")
-    n_q = 2 * ms + 1 if method is Method.G else 2 * ms
-    return int(n_q) if n_q.ndim == 0 else n_q
+    ms = _as_int(m, "amplification count")
+    n_q = ms + ms  # 2*m without converting a scalar operand, which on a short array costs as much as the sum
+    if method is Method.G:
+        n_q += 1
+    return n_q
 
 
 def decay(r: float, n_q):
@@ -384,7 +411,8 @@ def sample_round(
     order or threading.  Derive per-round seeds with :func:`derive_seed`;
     ``seed`` must lie in [0, 2**64), the range :func:`derive_seed` returns.
     """
-    Schedule([m], [shots])  # refuses m < 0 and shots < 1
+    schedule = Schedule([m], [shots])  # refuses m < 0 and shots < 1
+    (m,), (shots,) = schedule.ms.tolist(), schedule.shots.tolist()
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     p1 = prob_good(method, theta, m, noise, size)
@@ -393,8 +421,7 @@ def sample_round(
 
 def readout_factor(n: int, eps: float) -> float:
     """Fisher-information penalty ``(1 - eps)**n`` for reading out ``n`` qubits."""
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    n = _as_int(n, "qubit count", 1)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"readout error must lie in [0, 1), got {eps}")
     return (1.0 - eps) ** n

@@ -42,13 +42,12 @@ Conventions (fixed, everything below depends on them):
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .model import Method, _scalar_or_array, derive_seed, query_count
+from .model import Method, NoiseModel, _as_int, _check_theta, _scalar_or_array, derive_seed, query_count
 
 __all__ = [
     "UnitaryFactory",
@@ -67,6 +66,9 @@ __all__ = [
 
 MAX_WORK_QUBITS = 8
 MAX_AMPLIFICATIONS = 64
+# the integer rule on a work-register size and on an amplification count, each given alone or as a sequence
+_work_qubits = partial(_as_int, name="work-register size", lo=1, hi=MAX_WORK_QUBITS)
+_amplification_counts = partial(_as_int, name="amplification counts", hi=MAX_AMPLIFICATIONS)
 # angle step of numeric_classical_fisher's central differences (halved for the Richardson term)
 _FD_STEP = 1e-5
 
@@ -105,10 +107,8 @@ class UnitaryFactory:
     w_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_WORK_QUBITS:
-            raise ValueError(f"work-register size must lie in [1, {MAX_WORK_QUBITS}], got {self.n}")
-        if not 0.0 < self.theta < math.pi / 2:
-            raise ValueError(f"theta must lie strictly inside (0, pi/2), got {self.theta}")
+        self.__dict__.update(n=_work_qubits(self.n))  # frozen: kept as the int it equals
+        _check_theta(self.theta)
 
     @property
     def dim(self) -> int:
@@ -180,22 +180,6 @@ def depolarize(mat: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def _amplification_counts(m) -> np.ndarray:
-    """``m`` (an int or a 1-D sequence of ints) as an integer array, each
-    count checked to be an integer in ``[0, MAX_AMPLIFICATIONS]``."""
-    values = [m] if np.ndim(m) == 0 else list(m)
-    for value in values:
-        try:
-            ok = 0 <= operator.index(value) <= MAX_AMPLIFICATIONS
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(
-                f"amplification counts must be integers in [0, {MAX_AMPLIFICATIONS}], got {value!r}"
-            )
-    return np.array(values, dtype=np.int64).reshape(np.shape(m))
-
-
 def evolve_with_derivative(
     method: Method, m, factory: UnitaryFactory, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -213,9 +197,8 @@ def evolve_with_derivative(
     single evolution to ``max(m)`` that keeps a snapshot at each requested
     count; every snapshot equals, bit for bit, the int call at that count.
     """
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"survival probability r must lie in (0, 1], got {r}")
-    counts = _amplification_counts(m)
+    NoiseModel(r)  # refuses r outside (0, 1]
+    counts = np.asarray(_amplification_counts(m))
     prep = _prepared(factory)
     dim = factory.dim
     rho = np.zeros((dim, dim), dtype=complex)
@@ -289,7 +272,7 @@ def rotation_check(factory: UnitaryFactory, m):
     sequence of counts (an array back); ``Q`` and ``|phi>`` are built once
     and each count takes its own matrix power.
     """
-    counts = _amplification_counts(m)
+    counts = np.asarray(_amplification_counts(m))
     s2t = math.sin(2.0 * factory.theta)
     if s2t == 0.0:
         raise ValueError("rotation picture undefined where sin(2*theta) = 0")
@@ -387,13 +370,9 @@ def theorem_bound(n_ops, d: int, r: float):
     per-query survivals, taken in query order.  ``n_ops`` may be an int (a
     float back) or an integer array (an array back).
     """
-    n_ops = np.asarray(n_ops)
-    if n_ops.dtype.kind not in "iu" or np.any(n_ops < 1):
-        raise ValueError(f"query counts must be integers >= 1, got {n_ops.tolist()}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"survival probability r must lie in (0, 1], got {r}")
+    n_ops = np.asarray(_as_int(n_ops, "query count", 1))
+    d = _as_int(d, "dimension", 2)
+    NoiseModel(r)  # refuses r outside (0, 1]
     if r == 1.0:
         return _scalar_or_array(4.0 * n_ops * n_ops)
     rt = np.cumprod(np.full(n_ops.max(initial=0), r))[n_ops - 1]
@@ -500,8 +479,9 @@ def run_equivalence_suite(
     closed-form references are evaluated over the same counts.  The whole
     grid is checked before any work: it must be non-empty (at least one
     size, count and survival probability, and ``seeds >= 1``), every count
-    must be an integer in ``[0, MAX_AMPLIFICATIONS]``, every register size in
-    ``[1, MAX_WORK_QUBITS]`` and every survival probability in ``(0, 1]``.
+    must be an integer in ``[0, MAX_AMPLIFICATIONS]``, every register size an
+    integer in ``[1, MAX_WORK_QUBITS]``, ``seeds`` an integer and every
+    survival probability in ``(0, 1]``; a bool or a float is not an integer.
 
     ``perturb_r`` shrinks the survival probability used *inside the
     simulator only* by the given relative amount; any nonzero value must
@@ -509,21 +489,18 @@ def run_equivalence_suite(
     """
     if not 0.0 <= perturb_r < 1.0:
         raise ValueError(f"perturbation must lie in [0, 1), got {perturb_r}")
-    if not (len(n_values) and len(m_values) and len(r_values)) or seeds < 1:  # zero cases would pass unverified
+    m_grid, n_grid, seeds = _amplification_counts(m_values), _work_qubits(n_values), _as_int(seeds, "seeds")
+    if not (len(n_values) and len(m_values) and len(r_values)) or not seeds:  # zero cases would pass unverified
         raise ValueError(f"the oracle grid is empty ({n_values=}, {m_values=}, {r_values=}, {seeds=})")
-    _amplification_counts(m_values)
-    n_grid = np.array([operator.index(n) for n in n_values], dtype=np.int64)
-    if np.any((n_grid < 1) | (n_grid > MAX_WORK_QUBITS)):
-        raise ValueError(f"work-register sizes must lie in [1, {MAX_WORK_QUBITS}], got {list(n_values)}")
     # local import: model/fisher are the closed-form side of the comparison
     from .fisher import classical_fisher, quantum_fisher
-    from .model import NoiseModel, SystemSize, prob_good, seed_keys
+    from .model import SystemSize, prob_good, seed_keys
 
     noises = [NoiseModel(r) for r in r_values]
     # derive_seed(master_seed, n, si) of every cell, in one call
     keys = seed_keys(master_seed, n_grid[:, None], np.arange(seeds)).tolist()
     cases = []
-    for n, n_keys in zip(n_values, keys):
+    for n, n_keys in zip(n_grid.tolist(), keys):
         size = SystemSize(n + 1)  # work register + flag qubit
         d = 2 ** (n + 1)
         for si in range(seeds):
@@ -534,21 +511,21 @@ def run_equivalence_suite(
             cells = []  # the cases of each (r, method), one per entry of m_values
             for r, noise in zip(r_values, noises):
                 for method in (Method.G, Method.Q):
-                    n_qs = query_count(method, m_values)
+                    n_qs = query_count(method, m_grid)
                     # zero-query rounds have no reference information or bound;
                     # their entries are computed at one query and go unused
                     queried = n_qs > 0
                     live = np.maximum(n_qs, 1)
-                    rhos, drhos = evolve_with_derivative(method, m_values, factory, r * (1.0 - perturb_r))
+                    rhos, drhos = evolve_with_derivative(method, m_grid, factory, r * (1.0 - perturb_r))
                     qfis = _spectral_qfi(rhos, drhos, cutoff=1e-12)
                     qfi_refs = quantum_fisher(live, noise, size)
                     bounds = theorem_bound(live, d, r)
-                    prob_dev = np.abs(measure_probs(rhos, method)[1] - prob_good(method, theta, m_values, noise, size))
+                    prob_dev = np.abs(measure_probs(rhos, method)[1] - prob_good(method, theta, m_grid, noise, size))
                     qfi_rel = np.where(queried, np.abs(qfis - qfi_refs) / qfi_refs, np.abs(qfis))
                     excess = np.where(queried, np.maximum(0.0, (qfis - bounds) / bounds), np.maximum(0.0, qfis))
                     bound_gap = np.where(queried, np.abs(qfis - bounds) / bounds, None)
                     unset = np.full(len(n_qs), None)
-                    rot = rotation_check(factory, m_values) if r == 1.0 and method is Method.Q else unset
+                    rot = rotation_check(factory, m_grid) if r == 1.0 and method is Method.Q else unset
                     # the relative deviation is ill-conditioned where the
                     # probability derivative nearly vanishes
                     cfi_ok = np.array(
@@ -564,7 +541,7 @@ def run_equivalence_suite(
                     cells.append(
                         [
                             EquivalenceCase(method, n, m, r, theta, w_seed, *row)
-                            for m, *row in zip(m_values, *(c.tolist() for c in columns))
+                            for m, *row in zip(m_grid.tolist(), *(c.tolist() for c in columns))
                         ]
                     )
             # cases run m-major, then r, then method

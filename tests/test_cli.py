@@ -185,7 +185,7 @@ class TestSimulate:
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rmse.csv"
         assert run_cli("simulate", "--seed", "-1", "--out", str(out)) == 1
-        assert "non-negative" in capsys.readouterr().err
+        assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unresolvable_schedule_is_refused(self, tmp_path, capsys):

@@ -495,12 +495,14 @@ class TestPrunedScan:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: ExperimentConfig(rounds=0), "rounds, shots and repetitions must all be >= 1"),
+        (lambda: ExperimentConfig(rounds=0), "^rounds must be >= 1, got 0$"),
+        (lambda: ExperimentConfig(shots=0), "^shots must be >= 1, got 0$"),
+        (lambda: ExperimentConfig(repetitions=-2), "^repetitions must be >= 1, got -2$"),
         (lambda: ExperimentConfig(targets=(1.0,)), r"strictly inside \(0, 1\)"),
         (lambda: ExperimentConfig(methods=()), "at least one method is required"),
         (lambda: mle_estimate(MeasurementRecord(Method.G, ()), NoiseModel(0.99)), "no rounds to fit"),
     ],
-    ids=["no-rounds", "target-one", "no-methods", "empty-record"],
+    ids=["no-rounds", "no-shots", "negative-reps", "target-one", "no-methods", "empty-record"],
 )
 def test_refuses(call, message):
     with pytest.raises(ValueError, match=message):
@@ -638,7 +640,7 @@ class TestRunExperiment:
         assert ExperimentConfig(rounds=1, methods=(Method.G,)).rounds == 1
 
     def test_rejects_negative_master_seed(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^master_seed must be >= 0, got -1$"):
             ExperimentConfig(master_seed=-1)
 
     def test_efficiency_at_desk_scale(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,9 @@ from aelab import (
     query_count,
     readout_factor,
 )
+from aelab import ExperimentConfig, build_eis_schedule
 from aelab.model import RoundOutcome, decay, derive_seed, draw_hits, sample_round, seed_keys
+from aelab.refsim import UnitaryFactory, evolve, rotation_check, run_equivalence_suite, theorem_bound
 
 SIZES = [SystemSize(1), SystemSize(10), SystemSize(100), INFINITE]
 
@@ -68,8 +71,8 @@ class TestTypes:
         [
             ([0, -1], [10, 10], "amplification count must be >= 0, got -1"),
             ([0, 1], [10, 0], "shot count must be >= 1, got 0"),
-            ([0, 1.5], [10, 10], "must be a 1-d sequence of integers"),
-            ([0, 1], [10.0, 10.0], "must be a 1-d sequence of integers"),
+            ([0, 1.5], [10, 10], "^amplification count must be an integer, got 1.5$"),
+            ([0, 1], [10.0, 10.0], "^shot count must be an integer, got 10.0$"),
             ([[0, 1]], [[10, 10]], "must be a 1-d sequence of integers"),
             ([0, 1], [10], "one length, got 2 and 1"),
         ],
@@ -92,7 +95,7 @@ class TestTypes:
             record(0, 10, -1)
         with pytest.raises(ValueError, match="amplification count must be >= 0, got -1"):
             record(-1, 10, 0)
-        with pytest.raises(ValueError, match="must be a 1-d sequence of integers"):
+        with pytest.raises(ValueError, match="^hits must be an integer, got 2.5$"):
             record(0, 10, 2.5)
 
     @pytest.mark.parametrize("hits", [[5], [5, 6, 7], []], ids=["short", "long", "empty"])
@@ -146,6 +149,67 @@ class TestQueryCount:
             query_count(method, m)
         with pytest.raises(ValueError, match="amplification count must be an integer"):
             prob_good(method, 0.3, m, NoiseModel(0.9))
+
+
+    def test_narrow_integers_do_not_wrap(self):
+        # 2*m + 1 in a uint8 or int8 wraps; the count is widened to int64 first
+        assert query_count(Method.G, np.uint8(200)) == 401
+        assert query_count(Method.Q, np.int8(100)) == 200
+        assert query_count(Method.G, np.array([200], dtype=np.uint8)).tolist() == [401]
+        assert query_count(Method.Q, np.array([100], dtype=np.int8)).tolist() == [200]
+        noise = NoiseModel(1.0)
+        narrow = prob_good(Method.G, 0.3, np.array([200], dtype=np.uint8), noise)
+        assert narrow.tolist() == [prob_good(Method.G, 0.3, 200, noise)]
+
+
+def _suite(**grid):
+    return run_equivalence_suite(**{"n_values": (1,), "m_values": (1,), "r_values": (0.9,), "seeds": 1, **grid})
+
+
+# every public entry point that takes a count, as a call of the count k that returns a comparable value
+COUNT_ENTRY_POINTS = {
+    "config-rounds": lambda k: ExperimentConfig(rounds=k).rounds,
+    "config-shots": lambda k: ExperimentConfig(shots=k).shots,
+    "config-repetitions": lambda k: ExperimentConfig(repetitions=k).repetitions,
+    "config-master-seed": lambda k: ExperimentConfig(master_seed=k).master_seed,
+    "system-size": lambda k: SystemSize(k).n,
+    "eis-rounds": lambda k: build_eis_schedule(6 / 5, k, 10, Method.G).ms.tolist(),
+    "schedule-m": lambda k: Schedule([0, k], [10, 10]).ms.tolist(),
+    "schedule-shots": lambda k: Schedule([0, 1], [10, k]).shots.tolist(),
+    "record-hits": lambda k: MeasurementRecord(Method.G, Schedule([0, 1], [10, 10]), [5, k]).hits.tolist(),
+    "query-count": lambda k: query_count(Method.G, k),
+    "prob-good": lambda k: prob_good(Method.G, 0.3, k, NoiseModel(0.9)),
+    "sample-round-m": lambda k: sample_round(Method.G, 0.3, k, 10, NoiseModel(0.9), INFINITE, 7),
+    "sample-round-shots": lambda k: sample_round(Method.G, 0.3, 1, k, NoiseModel(0.9), INFINITE, 7),
+    "readout-factor": lambda k: readout_factor(k, 0.01),
+    "factory-n": lambda k: UnitaryFactory(n=k, theta=0.3).n,
+    "evolve-m": lambda k: evolve(Method.G, k, UnitaryFactory(n=1, theta=0.3), 0.9).tolist(),
+    "rotation-check-m": lambda k: rotation_check(UnitaryFactory(n=1, theta=0.3), k),
+    "bound-n-ops": lambda k: theorem_bound(k, 4, 0.9),
+    "bound-d": lambda k: theorem_bound(2, k, 0.9),
+    "suite-n": lambda k: _suite(n_values=(k,)).as_dicts(),
+    "suite-m": lambda k: _suite(m_values=(k,)).as_dicts(),
+    "suite-seeds": lambda k: _suite(seeds=k).as_dicts(),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+class TestIntegerRule:
+    """One rule for every count: an integer of any integral type but bool, widened to a Python int or int64."""
+
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"], ids=["bool", "float", "whole-float", "str"])
+    def test_refuses_what_is_not_an_integer(self, entry, value):
+        with pytest.raises(ValueError, match=f"must be an integer, got {value!r}$"):
+            COUNT_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8])
+    def test_takes_numpy_integers_as_python_ints(self, entry, kind):
+        call = COUNT_ENTRY_POINTS[entry]
+        want = call(3)
+        got = call(kind(3))
+        assert got == want and type(got) is type(want)
+        if isinstance(got, RoundOutcome):
+            assert all(type(v) is int for v in dataclasses.astuple(got))
 
 
 class TestProbGood:

@@ -386,8 +386,8 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             theorem_bound(2, 4, 0.0)
         # the cumulative survival indexes a running product by query count
-        for bad in (2.5, [1, 2.0]):
-            with pytest.raises(ValueError, match="integers >= 1"):
+        for bad, entry in ((2.5, "2.5"), ([1, 2.0], "2.0")):
+            with pytest.raises(ValueError, match=f"^query count must be an integer, got {entry}$"):
                 theorem_bound(bad, 4, 0.9)
 
 
@@ -430,7 +430,7 @@ class TestEquivalenceSuite:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            (dict(n_values=(1, 9)), r"work-register sizes .* got \[1, 9\]"),
+            (dict(n_values=(1, 9)), r"^work-register size must lie in \[1, 8\], got 9$"),
             (dict(r_values=(0.9, 1.5)), "got 1.5"),
             # an empty grid has zero cases, which would pass without verifying anything
             (dict(n_values=()), "grid is empty"),
