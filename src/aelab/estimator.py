@@ -198,7 +198,10 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     ms = [math.floor(base ** (k - 1)) for k in range(_as_int(num_rounds, "num_rounds"))]
     if method is Method.Q:
         ms = [m for m in ms if m > 0]
-    return Schedule(ms, [shots] * len(ms))
+    shots = _as_int(shots, "shot count", 1)
+    # integer arrays take the integer rule's fast path; a count past int64
+    # becomes a uint64 or object entry, which Schedule refuses as before
+    return Schedule(np.array(ms, dtype=None if ms else np.int64), np.full(len(ms), shots))
 
 
 def _loglik(theta, terms, hits, misses):

@@ -11,20 +11,25 @@ differences instead, as the independent test route).  None of the closed
 forms in :mod:`aelab.model` / :mod:`aelab.fisher` are used on this path,
 so agreement between the two is a genuine cross-check.
 
-The simulator is array-native over the amplification count, like the
-closed forms: an int ``m`` gives one ``(rho, drho)`` pair, a sequence of
-counts gives stacks from a single evolution to the largest count, with a
-snapshot kept at each requested one.  The read-outs follow the same
+Both methods walk one query sequence (``A``, ``uf``, ``A^dagger``, ``u0``,
+``A``, ...): method Q after ``m`` steps is the state after ``2m`` queries
+and method G the state after ``2m+1``.  So the simulator is array-native
+over the method, the survival probability and the amplification count: an
+int ``m``, one method and one ``r`` give one ``(rho, drho)`` pair, while a
+tuple of methods, a sequence of ``r`` and a sequence of counts each add a
+leading axis to the stacks of a single pass.  That pass evolves every
+``r`` side by side as one stack, runs to the largest query count asked for
+and keeps a snapshot at each requested one.  The read-outs follow the same
 contract: :func:`measure_probs` and :func:`propagated_classical_fisher`
 take ``(..., d, d)`` stacks, :func:`theorem_bound` an array of query
 counts and :func:`rotation_check` a sequence of counts, and each gives an
 array back, or a Python float for one matrix or count.  The equivalence
-suite therefore runs one evolution per (factory, r, method), takes the
-spectral QFI of its snapshots in one stacked eigendecomposition and reads
-every other column off the stacks in one call each; every value equals,
-bit for bit, the per-count route.  The spectral QFI takes stacks only; one
-count's value is that of a stack of one, ``evolve_with_derivative(method,
-[m], factory, r)``.
+suite therefore runs one evolution per factory, takes the spectral QFI of
+each (r, method) stack of snapshots in one stacked eigendecomposition and
+reads every other column off the stacks in one call each; every value
+equals, bit for bit, the per-(method, count, r) route.  The spectral QFI
+takes stacks only; one count's value is that of a stack of one,
+``evolve_with_derivative(method, [m], factory, r)``.
 
 Conventions (fixed, everything below depends on them):
 
@@ -108,6 +113,8 @@ class UnitaryFactory:
 
     def __post_init__(self) -> None:
         self.__dict__.update(n=_work_qubits(self.n))  # frozen: kept as the int it equals
+        if np.ndim(self.theta):  # the model's check takes arrays; one circuit has one angle
+            raise ValueError(f"theta must be one angle, got {self.theta!r}")
         _check_theta(self.theta)
 
     @property
@@ -168,44 +175,65 @@ def _prepared(factory: UnitaryFactory) -> _Prepared:
     return prep
 
 
-def depolarize(mat: np.ndarray, r: float) -> np.ndarray:
+def depolarize(mat: np.ndarray, r) -> np.ndarray:
     """Depolarizing channel ``X -> r*X + (1-r) * tr(X) * I/d``.
 
     Written trace-linearly so it acts correctly both on density matrices
-    (trace 1) and on their theta-derivatives (trace 0).
+    (trace 1) and on their theta-derivatives (trace 0).  ``mat`` may be a
+    ``(..., d, d)`` stack and ``r`` then an array of its leading shape, one
+    survival probability per matrix; each matrix comes out as, bit for bit,
+    the call on it alone.
     """
-    dim = mat.shape[0]
-    out = r * mat
-    out.flat[:: dim + 1] += (1.0 - r) * np.trace(mat) / dim
+    r = np.asarray(r, dtype=float)
+    dim = mat.shape[-1]
+    out = r[..., None, None] * mat
+    diagonal = out.reshape(out.shape[:-2] + (dim * dim,))[..., :: dim + 1]  # a view: out is a fresh array
+    diagonal += ((1.0 - r) * np.trace(mat, axis1=-2, axis2=-1) / dim)[..., None]
     return out
 
 
-def evolve_with_derivative(
-    method: Method, m, factory: UnitaryFactory, r: float
-) -> tuple[np.ndarray, np.ndarray]:
+def evolve_with_derivative(method, m, factory: UnitaryFactory, r) -> tuple[np.ndarray, np.ndarray]:
     """Evolve ``|0><0|`` through the noisy circuit; return (rho, drho/dtheta).
 
-    G applies ``A`` and then ``m`` times ``uf, A^dagger, u0, A``; Q applies
-    ``m`` times ``A, uf, A^dagger, u0``.  The channel follows every query of
-    ``A`` or its adjoint, so m steps accumulate 2m+1 (G) / 2m (Q) of them.
-    The derivative is propagated analytically by the product rule: unitaries
-    conjugate it, the preparation steps add the ``dA`` cross terms, and the
-    (theta-independent, linear) channel just passes through.
+    Both methods walk one query sequence: ``A``, ``uf``, ``A^dagger``,
+    ``u0``, ``A``, ``uf``, ... with the channel after every query of ``A``
+    or its adjoint.  G's state after ``m`` steps (``A``, then ``m`` times
+    ``uf, A^dagger, u0, A``) is the state after ``2m+1`` queries, and Q's
+    (``m`` times ``A, uf, A^dagger, u0``) the state after ``2m`` queries
+    and the ``u0`` that closes them (:func:`~aelab.model.query_count`).
+    The derivative is propagated analytically by the product rule:
+    unitaries conjugate it, the preparation steps add the ``dA`` cross
+    terms, and the (theta-independent, linear) channel just passes through.
 
-    An int ``m`` gives two ``(d, d)`` matrices.  A 1-D sequence of counts
-    (any order, repeats allowed) gives two ``(len(m), d, d)`` stacks from a
-    single evolution to ``max(m)`` that keeps a snapshot at each requested
-    count; every snapshot equals, bit for bit, the int call at that count.
+    An int ``m``, one ``method`` and a float ``r`` give two ``(d, d)``
+    matrices.  Each argument may instead add a leading axis: a tuple of
+    methods, then a 1-D sequence of survival probabilities, then a 1-D
+    sequence of counts (any order, repeats allowed), so
+    ``evolve_with_derivative((Method.G, Method.Q), ms, factory, rs)`` gives
+    two ``(2, len(rs), len(ms), d, d)`` stacks.  They come from a single
+    pass to the largest query count asked for, with every ``r`` evolved
+    side by side as one ``(len(rs), d, d)`` stack and a snapshot kept at
+    each requested count; every snapshot equals, bit for bit, the call for
+    that one method, count and ``r``.
     """
-    NoiseModel(r)  # refuses r outside (0, 1]
+    methods = (method,) if isinstance(method, Method) else method
+    if not isinstance(methods, tuple) or not methods or not all(isinstance(x, Method) for x in methods):
+        raise ValueError(f"method must be a Method or a non-empty tuple of them, got {method!r}")
+    survival = np.asarray(r)
+    if survival.ndim > 1 or survival.dtype.kind not in "iuf":
+        raise ValueError(f"r must be one survival probability or a 1-D sequence of them, got {r!r}")
+    survival = survival.astype(float, copy=False)
+    for x in survival.reshape(-1).tolist():
+        NoiseModel(x)  # refuses r outside (0, 1]
     counts = np.asarray(_amplification_counts(m))
+    # the query count of each (method, count) snapshot, in output order
+    wanted = np.stack([query_count(x, counts.reshape(-1)) for x in methods])
     prep = _prepared(factory)
     dim = factory.dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    drho = np.zeros((dim, dim), dtype=complex)
-    wanted = counts.reshape(-1)
-    rho_at = np.empty((wanted.size, dim, dim), dtype=complex)
+    rho = np.zeros(survival.shape + (dim, dim), dtype=complex)
+    rho[..., 0, 0] = 1.0
+    drho = np.zeros_like(rho)
+    rho_at = np.empty((len(methods),) + survival.shape + (counts.size, dim, dim), dtype=complex)
     drho_at = np.empty_like(rho_at)
 
     def query(op, op_h, dop, dop_h):
@@ -213,34 +241,33 @@ def evolve_with_derivative(
         op_rho = op @ rho
         drho = op @ drho @ op_h + dop @ rho @ op_h + op_rho @ dop_h
         rho = op_rho @ op_h
-        rho = depolarize(rho, r)
-        drho = depolarize(drho, r)
+        rho = depolarize(rho, survival)
+        drho = depolarize(drho, survival)
 
-    def snapshot(step):
-        hit = wanted == step
-        rho_at[hit] = rho
-        drho_at[hit] = drho
+    def snapshot(n_q):
+        at_method, at_count = np.nonzero(wanted == n_q)
+        rho_at[at_method, ..., at_count, :, :] = rho
+        drho_at[at_method, ..., at_count, :, :] = drho
 
-    if method is Method.G:
-        query(prep.a, prep.a_h, prep.da, prep.da_h)
     snapshot(0)
-    for step in range(1, int(wanted.max(initial=0)) + 1):
-        if method is Method.Q:
+    for n_q in range(1, int(wanted.max(initial=0)) + 1):
+        if n_q % 2:
             query(prep.a, prep.a_h, prep.da, prep.da_h)
-        rho = rho * prep.flag_mask
-        drho = drho * prep.flag_mask
-        query(prep.a_h, prep.a, prep.da_h, prep.da)
-        rho = rho * prep.zero_mask
-        drho = drho * prep.zero_mask
-        if method is Method.G:
-            query(prep.a, prep.a_h, prep.da, prep.da_h)
-        snapshot(step)
-    return rho_at.reshape(counts.shape + (dim, dim)), drho_at.reshape(counts.shape + (dim, dim))
+        else:
+            rho = rho * prep.flag_mask
+            drho = drho * prep.flag_mask
+            query(prep.a_h, prep.a, prep.da_h, prep.da)
+            rho = rho * prep.zero_mask
+            drho = drho * prep.zero_mask
+        snapshot(n_q)
+    shape = (() if isinstance(method, Method) else (len(methods),)) + survival.shape + counts.shape + (dim, dim)
+    return rho_at.reshape(shape), drho_at.reshape(shape)
 
 
-def evolve(method: Method, m, factory: UnitaryFactory, r: float) -> np.ndarray:
-    """Density matrix after ``m`` noisy amplification steps (a stack for a
-    sequence of counts, as in :func:`evolve_with_derivative`)."""
+def evolve(method, m, factory: UnitaryFactory, r) -> np.ndarray:
+    """Density matrix after ``m`` noisy amplification steps (a stack over a
+    tuple of methods, a sequence of ``r`` or of counts, as in
+    :func:`evolve_with_derivative`)."""
     rho, _ = evolve_with_derivative(method, m, factory, r)
     return rho
 
@@ -470,18 +497,21 @@ def run_equivalence_suite(
     picture (noiseless cells only) and classical Fisher information are
     checked against their closed-form counterparts, and the quantum Fisher
     information against the general circuit bound.  There is one evolution
-    per (factory, r, method): it runs to ``max(m_values)`` and keeps a
-    snapshot at each count, both Fisher informations come from the
+    per factory: a single call of :func:`evolve_with_derivative` over both
+    methods, every ``r`` and every count, read through the module attribute
+    so that a stand-in sees it.  Both Fisher informations come from the
     propagated derivative ``drho`` of that evolution, and the spectral QFI
-    of all its snapshots is taken in one stacked ``eigh``.  Every column of
-    an evolution's cases is then one call or expression over all of
-    ``m_values``: the read-outs take the snapshot stacks whole, and the
-    closed-form references are evaluated over the same counts.  The whole
-    grid is checked before any work: it must be non-empty (at least one
-    size, count and survival probability, and ``seeds >= 1``), every count
-    must be an integer in ``[0, MAX_AMPLIFICATIONS]``, every register size an
-    integer in ``[1, MAX_WORK_QUBITS]``, ``seeds`` an integer and every
-    survival probability in ``(0, 1]``; a bool or a float is not an integer.
+    of each (r, method) stack of snapshots is taken in one stacked
+    ``eigh``.  Every column of an (r, method) stack's cases is then one call
+    or expression over all of ``m_values``: the read-outs take the snapshot
+    stacks whole, and the closed-form references are evaluated over the
+    same counts.  The whole grid is checked before any work: it must be
+    non-empty (at least one size, count and survival probability, and
+    ``seeds >= 1``), every count must be an integer in
+    ``[0, MAX_AMPLIFICATIONS]``, every register size an integer in
+    ``[1, MAX_WORK_QUBITS]``, ``seeds`` and ``master_seed`` integers and
+    every survival probability in ``(0, 1]``; a bool or a float is not an
+    integer.
 
     ``perturb_r`` shrinks the survival probability used *inside the
     simulator only* by the given relative amount; any nonzero value must
@@ -490,6 +520,7 @@ def run_equivalence_suite(
     if not 0.0 <= perturb_r < 1.0:
         raise ValueError(f"perturbation must lie in [0, 1), got {perturb_r}")
     m_grid, n_grid, seeds = _amplification_counts(m_values), _work_qubits(n_values), _as_int(seeds, "seeds")
+    master_seed = _as_int(master_seed, "master_seed")
     if not (len(n_values) and len(m_values) and len(r_values)) or not seeds:  # zero cases would pass unverified
         raise ValueError(f"the oracle grid is empty ({n_values=}, {m_values=}, {r_values=}, {seeds=})")
     # local import: model/fisher are the closed-form side of the comparison
@@ -497,6 +528,8 @@ def run_equivalence_suite(
     from .model import SystemSize, prob_good, seed_keys
 
     noises = [NoiseModel(r) for r in r_values]
+    methods = (Method.G, Method.Q)
+    simulated_rs = np.array([r * (1.0 - perturb_r) for r in r_values])
     # derive_seed(master_seed, n, si) of every cell, in one call
     keys = seed_keys(master_seed, n_grid[:, None], np.arange(seeds)).tolist()
     cases = []
@@ -508,15 +541,17 @@ def run_equivalence_suite(
             theta = float(rng.uniform(0.02, math.pi / 2 - 0.02))
             w_seed = int(rng.integers(0, 2**63 - 1))
             factory = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
+            # one pass serves the factory's every (method, r, m) snapshot
+            rho_stacks, drho_stacks = evolve_with_derivative(methods, m_grid, factory, simulated_rs)
             cells = []  # the cases of each (r, method), one per entry of m_values
-            for r, noise in zip(r_values, noises):
-                for method in (Method.G, Method.Q):
+            for ri, (r, noise) in enumerate(zip(r_values, noises)):
+                for mi, method in enumerate(methods):
+                    rhos, drhos = rho_stacks[mi, ri], drho_stacks[mi, ri]
                     n_qs = query_count(method, m_grid)
                     # zero-query rounds have no reference information or bound;
                     # their entries are computed at one query and go unused
                     queried = n_qs > 0
                     live = np.maximum(n_qs, 1)
-                    rhos, drhos = evolve_with_derivative(method, m_grid, factory, r * (1.0 - perturb_r))
                     qfis = _spectral_qfi(rhos, drhos, cutoff=1e-12)
                     qfi_refs = quantum_fisher(live, noise, size)
                     bounds = theorem_bound(live, d, r)

@@ -174,6 +174,7 @@ COUNT_ENTRY_POINTS = {
     "config-master-seed": lambda k: ExperimentConfig(master_seed=k).master_seed,
     "system-size": lambda k: SystemSize(k).n,
     "eis-rounds": lambda k: build_eis_schedule(6 / 5, k, 10, Method.G).ms.tolist(),
+    "eis-shots": lambda k: build_eis_schedule(6 / 5, 3, k, Method.G).shots.tolist(),
     "schedule-m": lambda k: Schedule([0, k], [10, 10]).ms.tolist(),
     "schedule-shots": lambda k: Schedule([0, 1], [10, k]).shots.tolist(),
     "record-hits": lambda k: MeasurementRecord(Method.G, Schedule([0, 1], [10, 10]), [5, k]).hits.tolist(),
@@ -190,6 +191,7 @@ COUNT_ENTRY_POINTS = {
     "suite-n": lambda k: _suite(n_values=(k,)).as_dicts(),
     "suite-m": lambda k: _suite(m_values=(k,)).as_dicts(),
     "suite-seeds": lambda k: _suite(seeds=k).as_dicts(),
+    "suite-master-seed": lambda k: _suite(master_seed=k).as_dicts(),
 }
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher, query_count, refsim
@@ -90,6 +90,10 @@ class TestOperators:
             UnitaryFactory(n=9, theta=0.3)
         with pytest.raises(ValueError):
             UnitaryFactory(n=2, theta=0.0)
+        # an array angle passes the model's range check but is not one circuit
+        for theta in (np.array([0.3, 0.4]), [0.3]):
+            with pytest.raises(ValueError, match=r"^theta must be one angle, got "):
+                UnitaryFactory(n=1, theta=theta)
 
 
 class TestEvolve:
@@ -182,6 +186,53 @@ class TestEvolve:
         per_matrix = [_spectral_qfi(rho[None], drho[None], 1e-12)[0] for rho, drho in zip(rhos, drhos)]
         assert _spectral_qfi(rhos, drhos, 1e-12).tolist() == per_matrix
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        methods=st.lists(st.sampled_from(Method), min_size=1, max_size=3).map(tuple),
+        n=st.integers(min_value=1, max_value=3),
+        rs=st.lists(st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.0)), min_size=1, max_size=4),
+        theta=st.floats(min_value=0.02, max_value=math.pi / 2 - 0.02),
+        w_seed=st.integers(min_value=0, max_value=2**32),
+        ms=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6),
+    )
+    # repeated, unsorted counts and a repeated r, with r = 1 among the r < 1
+    @example(methods=(Method.Q, Method.G), n=2, rs=[0.5, 1.0, 0.5], theta=0.41, w_seed=17, ms=[5, 0, 3, 3])
+    def test_method_and_r_axes_equal_int_calls(self, methods, n, rs, theta, w_seed, ms):
+        # one pass over the shared query sequence, every r side by side, does
+        # each (method, r, m) int call's arithmetic in its order
+        f = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
+        rhos, drhos = evolve_with_derivative(methods, ms, f, rs)
+        assert rhos.shape == drhos.shape == (len(methods), len(rs), len(ms), f.dim, f.dim)
+        for mi, method in enumerate(methods):
+            for ri, r in enumerate(rs):
+                for ki, m in enumerate(ms):
+                    one_rho, one_drho = evolve_with_derivative(method, m, f, r)
+                    np.testing.assert_array_equal(rhos[mi, ri, ki], one_rho)
+                    np.testing.assert_array_equal(drhos[mi, ri, ki], one_drho)
+
+    def test_each_axis_is_optional(self, factory):
+        # a tuple of methods, a sequence of r and a sequence of counts each add one leading axis
+        d = factory.dim
+        shapes = [
+            (Method.G, 2, 0.9, (d, d)),
+            (Method.G, [2], 0.9, (1, d, d)),
+            (Method.G, 2, [0.9], (1, d, d)),
+            ((Method.G,), 2, 0.9, (1, d, d)),
+            ((Method.G, Method.Q), 2, [0.9, 1.0, 0.5], (2, 3, d, d)),
+            ((Method.G, Method.Q), [0, 1], 0.9, (2, 2, d, d)),
+            (Method.Q, [3, 1], (0.9, 0.5), (2, 2, d, d)),
+        ]
+        for method, m, r, shape in shapes:
+            rho, drho = evolve_with_derivative(method, m, factory, r)
+            assert rho.shape == drho.shape == shape
+
+    def test_depolarize_takes_one_r_per_matrix(self, factory):
+        stack = evolve(Method.G, [0, 1, 2], factory, 0.8)
+        rs = np.array([1.0, 0.6, 0.9])
+        got = depolarize(stack, rs)
+        for mat, r, want in zip(stack, rs.tolist(), got):
+            np.testing.assert_array_equal(depolarize(mat, r), want)
+
     def test_guards(self, factory):
         with pytest.raises(ValueError):
             evolve(Method.G, 65, factory, 1.0)
@@ -190,6 +241,11 @@ class TestEvolve:
         # a negative count must not index a snapshot from the end
         with pytest.raises(ValueError, match="got -1"):
             evolve(Method.Q, [2, -1], factory, 0.9)
+        with pytest.raises(ValueError, match=r"in \(0, 1\], got 1.5$"):
+            evolve(Method.Q, 1, factory, [0.9, 1.5])
+        for method, r in (((), 0.9), ("g", 0.9), (1, 0.9), (Method.G, [[0.9]]), (Method.G, "0.9"), (Method.G, True)):
+            with pytest.raises(ValueError, match="must be"):
+                evolve(method, 1, factory, r)
 
 
 class TestMeasureProbs:
@@ -407,9 +463,13 @@ class TestEquivalenceSuite:
         grid = dict(n_values=(1, 2, 3), m_values=(3, 0, 1, 3, 5), r_values=(1.0, 0.7), seeds=4)
         stacked = run_equivalence_suite(**grid)
 
-        def per_case_evolution(method, ms, factory, r):
-            pairs = [evolve_with_derivative(method, m, factory, r) for m in ms]
-            return np.array([rho for rho, _ in pairs]), np.array([drho for _, drho in pairs])
+        factories = []
+
+        def per_case_evolution(methods, ms, factory, rs):
+            # (method, r, m) stacks of int evolutions, one per case
+            factories.append(factory)
+            pairs = [[[evolve_with_derivative(method, m, factory, r) for m in ms] for r in rs] for method in methods]
+            return tuple(np.array([[[pair[i] for pair in row] for row in rows] for rows in pairs]) for i in (0, 1))
 
         def per_matrix_qfi(rhos, drhos, cutoff):
             return np.array([_spectral_qfi(rho[None], drho[None], cutoff)[0] for rho, drho in zip(rhos, drhos)])
@@ -417,6 +477,8 @@ class TestEquivalenceSuite:
         monkeypatch.setattr(refsim, "evolve_with_derivative", per_case_evolution)
         monkeypatch.setattr(refsim, "_spectral_qfi", per_matrix_qfi)
         per_case = run_equivalence_suite(**grid)
+        # one call per factory: a suite that bypassed the module attribute would compare itself with itself
+        assert len(factories) == len(set(factories)) == 3 * 4
         assert len(stacked.cases) == len(per_case.cases) == 3 * 4 * 5 * 2 * 2
         for got, want in zip(stacked.cases, per_case.cases):
             assert repr(got) == repr(want)
