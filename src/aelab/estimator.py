@@ -66,7 +66,8 @@ brackets lie bracket after bracket in flat arrays, with their per-round
 constants gathered once, so each Newton iteration is one pass of the
 derivative kernel over every term and one ``np.add.reduceat`` per bracket,
 and a bracket's terms are dropped in the iteration its root is found.
-``REFINE_BLOCK`` bounds the live terms held at once, in whole brackets, so
+``REFINE_BLOCK`` bounds the live terms held at once, in whole records
+(every record of a call has the same ends, so the same number of terms), so
 memory stays flat however many records a call fits; a bracket's Newton path
 depends on its own terms alone, so neither the blocks nor the other records
 in a batch (:func:`run_experiment` fits every target of a method in one
@@ -91,9 +92,9 @@ from .model import (
     _as_int,
     _check_theta,
     _count_column,
+    _scalar_or_array,
     derive_seed,  # noqa: F401  perfbench/layers.py traces aelab.estimator.derive_seed
     draw_hits,
-    hit_probability,
     p1_from_sin2,
     prob_good,
     prob_terms,
@@ -204,35 +205,26 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     return Schedule(np.array(ms, dtype=None if ms else np.int64), np.full(len(ms), shots))
 
 
-def _loglik(theta, terms, hits, misses):
-    """Log-likelihood of the rounds along the last axis.
-
-    ``theta`` broadcasts against ``hits.shape[:-1]``.  Zero counts contribute
-    exactly zero (the 0*log(0) = 0 convention).
-    """
-    n_q, r_pow, floor = terms
-    p1 = hit_probability(n_q * np.asarray(theta)[..., None], r_pow, floor)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(hits > 0, hits * np.log(p1), 0.0)
-        t0 = np.where(misses > 0, misses * np.log1p(-p1), 0.0)
-    return np.sum(t1 + t0, axis=-1)
-
-
 def log_likelihood(
-    record: MeasurementRecord, theta: float, noise: NoiseModel, size: SystemSize = INFINITE
-) -> float:
+    record: MeasurementRecord, theta, noise: NoiseModel, size: SystemSize = INFINITE
+) -> float | np.ndarray:
     """Joint log-likelihood of a record at angle ``theta``.
 
-    Uses the 0*log(0) = 0 convention; outcomes that are impossible under a
+    A float for a scalar ``theta``, an array of its shape otherwise.  Uses
+    the 0*log(0) = 0 convention; outcomes that are impossible under a
     deterministic probability (only reachable at r = 1) give -inf.  For
     r < 1 the noise floor keeps both probabilities interior, so the value is
     finite on all of (0, pi/2).
     """
     if not len(record.hits):
         raise ValueError("record holds no rounds")
-    _check_theta(theta)
-    terms = prob_terms(record.method, record.schedule.ms, noise, size)
-    return float(_loglik(theta, terms, record.hits, record.schedule.shots - record.hits))
+    _check_theta(theta)  # as given: the round axis below would show in the message
+    p1 = prob_good(record.method, np.asarray(theta)[..., None], record.schedule.ms, noise, size)
+    hits, misses = record.hits, record.schedule.shots - record.hits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(hits > 0, hits * np.log(p1), 0.0)
+        t0 = np.where(misses > 0, misses * np.log1p(-p1), 0.0)
+    return _scalar_or_array(np.sum(t1 + t0, axis=-1))
 
 
 class _GridLikelihood:
@@ -427,8 +419,8 @@ class _GridLikelihood:
         whose log-likelihood is -inf at every grid angle is refused with a
         ``ValueError`` before any refinement.  The (record, end) brackets are
         refined together over their live terms only (rounds ``0..end``), in
-        blocks of whole brackets holding at most ``REFINE_BLOCK`` live terms
-        (a bracket longer than that is a block of its own); each bracket's
+        blocks of whole records holding at most ``REFINE_BLOCK`` live terms
+        (a record longer than that is a block of its own); each bracket's
         refinement depends on its own terms alone, so neither the blocks nor
         the other records change a bit of it.  Q's likelihood is exactly
         mirror-symmetric about pi/4 and its scan covers (0, pi/4] only; the
@@ -455,15 +447,14 @@ class _GridLikelihood:
         centers = self.theta[best].ravel()
         rec, end = np.divmod(np.arange(len(centers)), len(ends))
         end = ends[end]
-        filled = np.cumsum(end + 1)  # live terms of brackets 0..b
-        est = np.empty(len(centers))
-        s = 0
-        while s < len(centers):
-            # brackets s..t-1: as many whole ones as REFINE_BLOCK live terms hold, and at least one
-            t = max(s + 1, int(np.searchsorted(filled, filled[s] - (end[s] + 1) + REFINE_BLOCK, side="right")))
-            est[s:t] = self._refine(centers[s:t], hits, misses, rec[s:t], end[s:t])
-            s = t
-        est = est.reshape(records, len(ends))
+        # every record has the same ends: a block is as many whole records as REFINE_BLOCK live terms hold, at least one
+        block = len(ends) * max(1, REFINE_BLOCK // int(np.sum(ends + 1)))
+        est = np.concatenate(
+            [
+                self._refine(centers[s : s + block], hits, misses, rec[s : s + block], end[s : s + block])
+                for s in range(0, len(centers), block)
+            ]
+        ).reshape(records, len(ends))
         return np.minimum(est, math.pi / 2 - est) if self.method is Method.Q else est
 
 

@@ -24,10 +24,11 @@ large registers exactly representable in double precision.
 
 Every closed form broadcasts over ``theta`` and ``m`` with numpy rules; a
 scalar call returns a Python number equal, bit for bit, to the array call's
-element.  :func:`decay` and :func:`hit_probability` are the single kernels
-that the estimator and the Fisher layer share; the estimator's likelihood
-tables, which build ``sin^2`` their own way, finish it with the same
-:func:`p1_from_sin2`.
+element.  :func:`decay` is the single kernel that the estimator and the
+Fisher layer share, and :func:`prob_good` the one hit probability, which
+the sampler, the estimator's log-likelihood and the oracle's comparison
+call; the estimator's likelihood tables and refinement, which build
+``sin^2`` their own way, finish it with the same :func:`p1_from_sin2`.
 
 Sampling is counter-keyed.  A round's seed is a pure function of its path:
 round ``j`` of repetition ``rep`` of target ``ti`` for the method with seed
@@ -232,12 +233,6 @@ def decay(r: float, n_q):
     return _scalar_or_array(np.exp(x)), _scalar_or_array(-np.expm1(x))
 
 
-def hit_probability(x, r_pow, floor):
-    """``R*sin^2(x) + floor`` at phase ``x = n_q*theta``: :func:`p1_from_sin2` of ``sin^2(x)``."""
-    # np.square, not ** 2: on a numpy scalar ** 2 calls pow, which can miss the array result by 1 ulp
-    return p1_from_sin2(np.square(np.sin(x)), r_pow, floor)
-
-
 def p1_from_sin2(s2, r_pow, floor, out=None):
     """``R*s2 + floor`` for ``s2 = sin^2(n_q*theta)``, clipped at 1 against the
     <= 1 ulp spill of the multiply-add; ``out``, if given, receives the result.
@@ -272,7 +267,8 @@ def prob_good(
     """
     _check_theta(theta)
     n_q, r_pow, floor = prob_terms(method, m, noise, size)
-    return _scalar_or_array(hit_probability(n_q * np.asarray(theta), r_pow, floor))
+    # np.square, not ** 2: on a numpy scalar ** 2 calls pow, which can miss the array result by 1 ulp
+    return _scalar_or_array(p1_from_sin2(np.square(np.sin(n_q * np.asarray(theta))), r_pow, floor))
 
 
 # numpy.random.SeedSequence's hash constants (pool of four uint32 words)

@@ -138,43 +138,6 @@ def _reflection_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s0, sf
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """Theta-dependent operators of one factory and the reflection sign masks.
-
-    ``a_h``/``da_h`` are the adjoints, kept as the ``conj().T`` views the
-    gate-by-gate product rule uses, so every matmul sees the same operands.
-    ``s0``/``sf`` are the diagonals of ``u0``/``uf``.  Conjugating by such a
-    +-1 diagonal is ``X * outer(s, s)``, exact in floating point, so the
-    masks give the same matrices as ``u @ X @ u.conj().T``.
-    """
-
-    a: np.ndarray
-    a_h: np.ndarray
-    da: np.ndarray
-    da_h: np.ndarray
-    s0: np.ndarray
-    sf: np.ndarray
-    zero_mask: np.ndarray
-    flag_mask: np.ndarray
-
-
-# the equivalence suite works through one factory at a time; two entries
-# cap the cache at 40 MB even at the largest register (8 work qubits)
-@lru_cache(maxsize=2)
-def _prepared(factory: UnitaryFactory) -> _Prepared:
-    a = factory.state_prep()
-    da = factory.state_prep_deriv()
-    s0, sf = _reflection_signs(factory.n)
-    prep = _Prepared(
-        a=a, a_h=a.conj().T, da=da, da_h=da.conj().T, s0=s0, sf=sf,
-        zero_mask=np.outer(s0, s0), flag_mask=np.outer(sf, sf),
-    )
-    for arr in vars(prep).values():
-        arr.setflags(write=False)
-    return prep
-
-
 def depolarize(mat: np.ndarray, r) -> np.ndarray:
     """Depolarizing channel ``X -> r*X + (1-r) * tr(X) * I/d``.
 
@@ -228,7 +191,11 @@ def evolve_with_derivative(method, m, factory: UnitaryFactory, r) -> tuple[np.nd
     counts = np.asarray(_amplification_counts(m))
     # the query count of each (method, count) snapshot, in output order
     wanted = np.stack([query_count(x, counts.reshape(-1)) for x in methods])
-    prep = _prepared(factory)
+    a, da = factory.state_prep(), factory.state_prep_deriv()
+    a_h, da_h = a.conj().T, da.conj().T
+    # conjugating by u0 or uf, a +-1 diagonal, is X * outer(s, s): exact in floating point
+    s0, sf = _reflection_signs(factory.n)
+    zero_mask, flag_mask = np.outer(s0, s0), np.outer(sf, sf)
     dim = factory.dim
     rho = np.zeros(survival.shape + (dim, dim), dtype=complex)
     rho[..., 0, 0] = 1.0
@@ -252,13 +219,13 @@ def evolve_with_derivative(method, m, factory: UnitaryFactory, r) -> tuple[np.nd
     snapshot(0)
     for n_q in range(1, int(wanted.max(initial=0)) + 1):
         if n_q % 2:
-            query(prep.a, prep.a_h, prep.da, prep.da_h)
+            query(a, a_h, da, da_h)
         else:
-            rho = rho * prep.flag_mask
-            drho = drho * prep.flag_mask
-            query(prep.a_h, prep.a, prep.da_h, prep.da)
-            rho = rho * prep.zero_mask
-            drho = drho * prep.zero_mask
+            rho = rho * flag_mask
+            drho = drho * flag_mask
+            query(a_h, a, da_h, da)
+            rho = rho * zero_mask
+            drho = drho * zero_mask
         snapshot(n_q)
     shape = (() if isinstance(method, Method) else (len(methods),)) + survival.shape + counts.shape + (dim, dim)
     return rho_at.reshape(shape), drho_at.reshape(shape)
@@ -303,9 +270,10 @@ def rotation_check(factory: UnitaryFactory, m):
     s2t = math.sin(2.0 * factory.theta)
     if s2t == 0.0:
         raise ValueError("rotation picture undefined where sin(2*theta) = 0")
-    prep = _prepared(factory)
+    a = factory.state_prep()
+    s0, sf = _reflection_signs(factory.n)
     # u0 @ A^dagger @ uf @ A with the diagonal reflections as row/column signs
-    q = (prep.s0[:, None] * prep.a_h * prep.sf) @ prep.a
+    q = (s0[:, None] * a.conj().T * sf) @ a
     e0 = np.zeros(factory.dim, dtype=complex)
     e0[0] = 1.0
     phi = (q @ e0 - math.cos(2.0 * factory.theta) * e0) / s2t
@@ -442,7 +410,7 @@ class EquivalenceCase:
         return [
             f"{label} {dev:.3e}"
             for name, label, tol in self.CHECKS
-            if (dev := getattr(self, name)) is not None and dev > tol
+            if (dev := getattr(self, name)) is not None and not dev <= tol  # a NaN deviation fails
         ]
 
     @property
@@ -478,8 +446,9 @@ class EquivalenceReport:
         ]
 
     def worst(self, attr: str) -> float:
+        """Largest deviation of the checks made, NaN if any is NaN, 0.0 if none was made."""
         vals = [getattr(c, attr) for c in self.cases if getattr(c, attr) is not None]
-        return max(vals) if vals else 0.0
+        return float(np.max(vals)) if vals else 0.0
 
 
 def run_equivalence_suite(
@@ -511,7 +480,12 @@ def run_equivalence_suite(
     ``[0, MAX_AMPLIFICATIONS]``, every register size an integer in
     ``[1, MAX_WORK_QUBITS]``, ``seeds`` and ``master_seed`` integers and
     every survival probability in ``(0, 1]``; a bool or a float is not an
-    integer.
+    integer.  The evolution holds ``2 * len(r_values) * len(m_values)``
+    pairs of ``(d, d)`` complex matrices per factory, ``d = 2**(n+1)``:
+    about 300 MB at 8 work qubits on the default counts and survival
+    probabilities, and about 3 GiB with counts 0-64.  A deviation that is
+    NaN (a closed form that underflows to 0 makes a relative one 0/0)
+    fails its check.
 
     ``perturb_r`` shrinks the survival probability used *inside the
     simulator only* by the given relative amount; any nonzero value must
@@ -556,9 +530,11 @@ def run_equivalence_suite(
                     qfi_refs = quantum_fisher(live, noise, size)
                     bounds = theorem_bound(live, d, r)
                     prob_dev = np.abs(measure_probs(rhos, method)[1] - prob_good(method, theta, m_grid, noise, size))
-                    qfi_rel = np.where(queried, np.abs(qfis - qfi_refs) / qfi_refs, np.abs(qfis))
-                    excess = np.where(queried, np.maximum(0.0, (qfis - bounds) / bounds), np.maximum(0.0, qfis))
-                    bound_gap = np.where(queried, np.abs(qfis - bounds) / bounds, None)
+                    # a reference that underflows to 0 gives a NaN deviation, which fails its check
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        qfi_rel = np.where(queried, np.abs(qfis - qfi_refs) / qfi_refs, np.abs(qfis))
+                        excess = np.where(queried, np.maximum(0.0, (qfis - bounds) / bounds), np.maximum(0.0, qfis))
+                        bound_gap = np.where(queried, np.abs(qfis - bounds) / bounds, None)
                     unset = np.full(len(n_qs), None)
                     rot = rotation_check(factory, m_grid) if r == 1.0 and method is Method.Q else unset
                     # the relative deviation is ill-conditioned where the

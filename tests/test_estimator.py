@@ -22,8 +22,8 @@ from aelab import (
     sample_record,
 )
 from aelab import estimator
-from aelab.estimator import _METHOD_CODE, ROOT_TOL, _GridLikelihood, _loglik, sample_hits
-from aelab.model import derive_seed, hit_probability, sample_round
+from aelab.estimator import _METHOD_CODE, ROOT_TOL, _GridLikelihood, sample_hits
+from aelab.model import derive_seed, p1_from_sin2, prob_good, sample_round
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
 
@@ -54,7 +54,7 @@ def full_grid_estimate(record: MeasurementRecord, noise: NoiseModel, size: Syste
     refinement, and the fold onto (0, pi/4] for Q."""
     grid = _GridLikelihood(record.method, record.schedule, noise, size)
     hits, misses = record.hits.astype(float), (record.schedule.shots - record.hits).astype(float)
-    center = grid.theta[np.argmax(_loglik(grid.theta, grid.terms, hits, misses))]
+    center = grid.theta[np.argmax(log_likelihood(record, grid.theta, noise, size))]
     bracket = np.array([center]), hits[None], misses[None], np.zeros(1, int), np.array([len(hits) - 1])
     est = float(grid._refine(*bracket)[0])
     return min(est, math.pi / 2 - est) if record.method is Method.Q else est
@@ -93,7 +93,7 @@ def dense_slopes(theta, terms, hits, misses):
     so rounds beyond a prefix are masked out by zeroing their counts."""
     n_q, r_pow, floor = terms
     x = n_q * np.asarray(theta)[..., None]
-    p1 = hit_probability(x, r_pow, floor)
+    p1 = p1_from_sin2(np.square(np.sin(x)), r_pow, floor)
     has1, has0 = hits > 0, misses > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         w1 = np.where(has1, hits / p1, 0.0)
@@ -185,6 +185,27 @@ class TestLogLikelihood:
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
             log_likelihood(MeasurementRecord(Method.G, ()), 0.3, NoiseModel(0.9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(Method),
+        r=st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.0)),
+        size=sizes,
+        rounds=st.integers(min_value=1, max_value=37),
+        truth=st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
+        seed=st.integers(min_value=0, max_value=2**32),
+        thetas=st.lists(st.floats(min_value=1e-9, max_value=math.pi / 2 - 1e-9), min_size=6, max_size=6),
+        shape=st.sampled_from([(6,), (2, 3), (6, 1)]),
+    )
+    def test_array_theta_equals_scalar_calls(self, method, r, size, rounds, truth, seed, thetas, shape):
+        noise = NoiseModel(r)
+        sched = build_eis_schedule(6 / 5, rounds + (method is Method.Q), 100, method)
+        rec = sample_record(method, truth, sched, noise, size, seed)
+        scalars = [log_likelihood(rec, theta, noise, size) for theta in thetas]
+        assert all(type(value) is float for value in scalars)
+        got = log_likelihood(rec, np.reshape(thetas, shape), noise, size)
+        assert got.shape == shape
+        assert got.tobytes() == np.reshape(scalars, shape).tobytes()
 
 
 class TestMle:
@@ -350,13 +371,13 @@ class TestLikelihoodTables:
     def test_tables_match_the_closed_form(self, method, r, size, rounds):
         # compared in probability space: where p1 rounds to within ulps of 1 log1p(-p1) is ill-conditioned,
         # and at r = 1 an exact zero of p1 can come out of the rounding as a tiny positive value
-        grid = _GridLikelihood(method, build_eis_schedule(6 / 5, rounds, 100, method), NoiseModel(r), size)
+        sched = build_eis_schedule(6 / 5, rounds, 100, method)
+        grid = _GridLikelihood(method, sched, NoiseModel(r), size)
         half = len(grid.theta) // 2
         assert grid.theta[half - 1] < math.pi / 4 < grid.theta[half]
-        n_q, r_pow, floor = grid.terms
         for k, (lp1, lp0) in enumerate(grid._logs):
             assert len(lp1) == (len(grid.theta) if method is Method.G else half)  # Q's rows stop at pi/4
-            p1 = hit_probability(n_q[k] * grid.theta[: len(lp1)], r_pow[k], floor[k])
+            p1 = prob_good(method, grid.theta[: len(lp1)], sched.ms[k], NoiseModel(r), size)
             assert np.max(np.abs(np.exp(lp1) - p1)) <= 1e-12
             assert np.max(np.abs(np.exp(lp0) - (1.0 - p1))) <= 1e-12
             if method is Method.G:  # the upper half mirrors the lower with hit and miss exchanged
@@ -387,10 +408,10 @@ class TestRefinement:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_refine_blocks_leave_every_estimate_unchanged(self, method, monkeypatch):
-        # the default block holds a whole cell here (8 records, at most 105 live terms each); a block of one term holds
-        # one bracket, one of 40 a few whole ones: each bracket's refinement must not depend on its neighbours
+        # the default block holds a whole cell here (8 records, 105 live terms each); blocks of 1, 210 and 315 terms
+        # hold one, two and three records (3 + 3 + 2): each bracket's refinement must not depend on its neighbours
         _, whole = self.cell_fit(method)
-        for block in (1, 40):
+        for block in (1, 210, 315):
             monkeypatch.setattr(estimator, "REFINE_BLOCK", block)
             _, blocked = self.cell_fit(method)
             assert blocked.tobytes() == whole.tobytes()
@@ -418,7 +439,8 @@ class TestRefinement:
         misses = 100.0 - hits
         ends = np.arange(rounds)
         centers = grid.theta[full_scan(grid, hits, misses, set(ends.tolist()))]
-        assume(np.isfinite(_loglik(centers[-1], grid.terms, hits, misses)))  # else fit refuses the record
+        record = MeasurementRecord(method, sched, hits.astype(int))
+        assume(np.isfinite(log_likelihood(record, centers[-1], noise, size)))  # else fit refuses the record
         live = grid._refine(centers, hits[None], misses[None], np.zeros(rounds, dtype=int), ends)
         upto = ends <= ends[:, None]
         dense = dense_refine(grid, centers, hits * upto, misses * upto)
@@ -501,8 +523,11 @@ class TestPrunedScan:
         (lambda: ExperimentConfig(targets=(1.0,)), r"strictly inside \(0, 1\)"),
         (lambda: ExperimentConfig(methods=()), "at least one method is required"),
         (lambda: mle_estimate(MeasurementRecord(Method.G, ()), NoiseModel(0.99)), "no rounds to fit"),
+        # theta is checked as given, before the likelihood adds its round axis
+        (lambda: log_likelihood(one_round(Method.G, 1, 100, 40), [0.3, 2.0], NoiseModel(0.9)),
+         r"^theta must lie strictly inside \(0, pi/2\), got \[0.3, 2.0\]$"),
     ],
-    ids=["no-rounds", "no-shots", "negative-reps", "target-one", "no-methods", "empty-record"],
+    ids=["no-rounds", "no-shots", "negative-reps", "target-one", "no-methods", "empty-record", "loglik-theta"],
 )
 def test_refuses(call, message):
     with pytest.raises(ValueError, match=message):

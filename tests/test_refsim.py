@@ -516,6 +516,16 @@ class TestEquivalenceSuite:
         )
         assert not report.all_passed
 
+    def test_underflowed_references_fail(self):
+        # at r = 1e-300 every queried cell's QFI and bound underflow to 0, so their relative deviations are NaN;
+        # the divisions raise no warning (an error under this suite's filter) and every NaN case fails
+        report = run_equivalence_suite(n_values=(1,), r_values=(1e-300,), seeds=1)
+        failed = [c for c in report.cases if not c.passed]
+        assert len(report.cases) == 12 and len(failed) == 11
+        assert all(math.isnan(c.qfi_rel_dev) and math.isnan(c.bound_excess) for c in failed)
+        assert not report.all_passed
+        assert math.isnan(report.worst("qfi_rel_dev"))
+
 
 def _case(**devs) -> EquivalenceCase:
     """A noiseless Q case whose deviations are all 0.0 but those given."""
@@ -530,6 +540,14 @@ class TestChecks:
         assert _case(**{name: tol}).failures == []
         assert _case(**{name: above}).failures == [f"{label} {above:.3e}"]
         assert _case(**{name: None}).passed  # a check not made never fails
+        assert _case(**{name: math.nan}).failures == [f"{label} nan"]  # nor is a NaN deviation within tolerance
+
+    def test_worst_is_nan_whatever_the_order(self):
+        cases = (_case(qfi_rel_dev=math.nan), _case(qfi_rel_dev=1.0), _case(qfi_rel_dev=None))
+        for order in (cases, cases[::-1]):
+            assert math.isnan(EquivalenceReport(order).worst("qfi_rel_dev"))
+        assert EquivalenceReport(cases[1:]).worst("qfi_rel_dev") == 1.0
+        assert EquivalenceReport(cases[2:]).worst("qfi_rel_dev") == 0.0
 
     def test_every_failure_in_table_order(self):
         case = _case(**{name: 1.0 for name, _, _ in EquivalenceCase.CHECKS})
