@@ -90,6 +90,7 @@ from .model import (
     Schedule,
     SystemSize,
     _as_int,
+    _check_method,
     _check_theta,
     _count_column,
     _scalar_or_array,
@@ -156,6 +157,8 @@ class ExperimentConfig:
             raise ValueError("targets must be amplitudes strictly inside (0, 1)")
         if not self.methods:
             raise ValueError("at least one method is required")
+        for method in self.methods:
+            _check_method(method)
         if Method.Q in self.methods and self.rounds < 2:
             raise ValueError("method Q needs rounds >= 2: its first round (m = 0) carries no signal and is dropped")
 
@@ -173,6 +176,7 @@ class MeasurementRecord:
     hits: np.ndarray = ()
 
     def __post_init__(self) -> None:
+        _check_method(self.method)
         schedule = Schedule((), ()) if self.schedule == () else self.schedule
         if np.ndim(self.hits) == 1 and len(self.hits) != len(schedule):
             raise ValueError(f"hits must have the schedule's length {len(schedule)}, got {len(self.hits)}")
@@ -194,6 +198,7 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     outcome distribution carries no angle information.  Duplicate m values
     for small k are intentional and kept as separate rounds.
     """
+    _check_method(method)
     if not 1.0 < base < math.inf:
         raise ValueError(f"schedule base must be finite and exceed 1, got {base}")
     ms = [math.floor(base ** (k - 1)) for k in range(_as_int(num_rounds, "num_rounds"))]

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .model import INFINITE, Method, NoiseModel, SystemSize, _check_theta, _scalar_or_array, decay
+from .model import INFINITE, Method, NoiseModel, SystemSize, _check_method, _check_theta, _scalar_or_array, decay
 
 __all__ = [
     "classical_fisher",
@@ -78,6 +78,7 @@ def classical_fisher(
     probabilities freeze and the value is taken to be 0 (the curves for
     ``r < 1`` genuinely touch 0 there).
     """
+    _check_method(method)
     _check_theta(theta)
     _check_n_q(n_q)
     r_pow, mixed = decay(noise.r, n_q)
@@ -97,6 +98,7 @@ def classical_fisher_envelope(
     method: Method, n_q, noise: NoiseModel, size: SystemSize = INFINITE
 ) -> float | np.ndarray:
     """Theta-independent upper envelope of :func:`classical_fisher`."""
+    _check_method(method)
     _check_n_q(n_q)
     r_pow, mixed = decay(noise.r, n_q)
     top = 4.0 * n_q * n_q * r_pow * r_pow
@@ -152,6 +154,7 @@ def envelope_peak(
     ``(0, -10/ln(r)]``, a bracket that always contains the maximum because
     the envelope decays like ``r**n_q``.
     """
+    _check_method(method)
     if not 0.0 < r < 1.0:
         raise ValueError(f"peak requires r strictly inside (0, 1), got {r}")
     log_r = math.log(r)

@@ -24,8 +24,11 @@ large registers exactly representable in double precision.
 
 Every closed form broadcasts over ``theta`` and ``m`` with numpy rules; a
 scalar call returns a Python number equal, bit for bit, to the array call's
-element.  :func:`decay` is the single kernel that the estimator and the
-Fisher layer share, and :func:`prob_good` the one hit probability, which
+element.  Every count and seed passes one integer rule (:func:`_as_int`),
+and every method tag one method rule (:func:`_check_method`): a bool or
+float count or seed is refused, and so is a tag such as ``"g"``.
+:func:`decay` is the single kernel that the estimator and the Fisher layer
+share, and :func:`prob_good` the one hit probability, which
 the sampler, the estimator's log-likelihood and the oracle's comparison
 call; the estimator's likelihood tables and refinement, which build
 ``sin^2`` their own way, finish it with the same :func:`p1_from_sin2`.
@@ -37,7 +40,8 @@ code ``code`` (G 0, Q 1) draws with
 ``SeedSequence([master_seed, code, ti, rep, j]).generate_state(1, np.uint64)[0]``.
 :func:`seed_keys` computes that hash for a whole grid of paths at once (each
 array component, an index such as a repetition or a round, below ``2**32``),
-and :func:`derive_seed` is its one-path call.  A round's hits are the first
+and :func:`derive_seed` is its one-path call; :func:`sample_round` takes a
+seed in ``[0, 2**64)``.  A round's hits are the first
 ``binomial`` of a fresh ``Generator(Philox(key=seed))``; :func:`draw_hits`
 serves every key from one generator whose state it resets to that key,
 counter 0 and an empty buffer before each draw, which gives exactly those
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,7 +84,7 @@ class Method(Enum):
 
 
 def _as_int(value, name: str, lo: int = 0, hi=None):
-    """``value`` as a Python int if it is an integer scalar (of any size), else as
+    """``value`` as a Python int if it is an integer scalar or 0-d array (of any size), else as
     an int64 array, once every entry is an integer in ``[lo, hi]`` (no upper bound
     where ``hi`` is None; an array ``hi`` of ``value``'s shape bounds entry by
     entry).  A bool, float or string is not an integer, whatever its value.  Else
@@ -105,15 +108,20 @@ def _as_int(value, name: str, lo: int = 0, hi=None):
                     raise ValueError(f"{name} must be an integer, got {entry!r}")
             if array.dtype.kind not in "iu":  # integers no one numpy integer type holds: compare them as Python ints
                 array = entries
-    if array.dtype.kind != "i" and hi is None:  # uint64 or Python ints can pass int64
+    if array.dtype.kind != "i" and hi is None and array.ndim:  # uint64 or Python ints can pass int64
         hi = 2**63 - 1
     outside = array < lo if hi is None else (array < lo) | (array > hi)
     if np.count_nonzero(outside):
         i = np.flatnonzero(outside)[0]
         rule = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi if np.ndim(hi) == 0 else hi.flat[i]}]"
         raise ValueError(f"{name} must {rule}, got {int(array.flat[i])}")
-    array = array.astype(np.int64, copy=False)
-    return int(array) if array.ndim == 0 else array
+    return int(array) if array.ndim == 0 else array.astype(np.int64, copy=False)
+
+
+def _check_method(method) -> None:
+    """The method rule: a tag that is not a :class:`Method` (``"g"``, say) is refused, not read as either method."""
+    if not isinstance(method, Method):
+        raise ValueError(f"method must be a Method, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +225,10 @@ def query_count(method: Method, m) -> int | np.ndarray:
     ``2*m + 1`` for :attr:`Method.G` (the initial preparation counts),
     ``2*m`` for :attr:`Method.Q`; an integer array for an array ``m``.
     ``m`` must hold integers >= 0 (:func:`_as_int`), widened to int64 before
-    the arithmetic so that a narrow integer type cannot wrap.
+    the arithmetic so that a narrow integer type cannot wrap, and ``method``
+    must be a :class:`Method` (:func:`_check_method`).
     """
+    _check_method(method)
     ms = _as_int(m, "amplification count")
     n_q = ms + ms  # 2*m without converting a scalar operand, which on a short array costs as much as the sum
     if method is Method.G:
@@ -302,41 +312,33 @@ def _hashmix(const: int, mult: int):
     return hashmix
 
 
-def _split(value: int) -> list[int]:
-    """SeedSequence's split of a non-negative int into uint32 words, least
-    significant first; 0 is one word."""
-    if value < 0:
-        raise ValueError("seed components must be non-negative integers")
-    return [value >> (32 * w) & _MASK32 for w in range(max(1, -(-value.bit_length() // 32)))]
-
-
 def _entropy(components) -> list:
     """The entropy words of every path, in order.
 
-    A scalar component splits into ``SeedSequence``'s words, as Python ints
-    (numpy uint64 scalars warn on overflow); an array component is one word
-    per path, so each of its entries must lie in [0, 2**32).  Every path of a
-    call therefore has the same number of words.
+    A scalar component, an integer >= 0 of any size, splits into
+    ``SeedSequence``'s uint32 words, least significant first (0 is one
+    word), as Python ints (numpy uint64 scalars warn on overflow); an array
+    component is one word per path, so each of its entries must lie in
+    [0, 2**32).  Both follow :func:`_as_int`'s integer rule.  Every path of
+    a call therefore has the same number of words.
     """
     words = []
     for c in components:
-        if not np.ndim(c):
-            words.extend(_split(operator.index(c)))
-            continue
-        c = np.asarray(c)
-        if c.dtype.kind not in "iu":
-            raise TypeError(f"seed components must be integers, got {c.dtype}")
-        if np.count_nonzero((c < 0) | (c > _MASK32)):
-            raise ValueError("array seed components must lie in [0, 2**32)")
-        words.append(c.astype(np.uint64))
+        if np.ndim(c):
+            words.append(_as_int(c, "array seed component", 0, _MASK32).astype(np.uint64))
+        else:
+            c = _as_int(c, "seed component")
+            words.extend(c >> (32 * w) & _MASK32 for w in range(max(1, -(-c.bit_length() // 32))))
     return words
 
 
 def seed_keys(master_seed: int, *path) -> np.ndarray:
     """:func:`derive_seed` of every path on a broadcast grid, as a uint64 array.
 
-    Each component is a non-negative int or an array of ints in [0, 2**32);
-    the arrays broadcast together and the result has their shape.  The key
+    Each component is a non-negative int or an array of ints in [0, 2**32),
+    by :func:`_as_int`'s rule (a bool, float or string is refused with a
+    ``ValueError``); the arrays broadcast together and the result has their
+    shape.  The key
     of a path is ``SeedSequence([master_seed, *path]).generate_state(1,
     np.uint64)[0]``, computed by the same uint32 arithmetic for all paths at
     once.
@@ -409,8 +411,7 @@ def sample_round(
     """
     schedule = Schedule([m], [shots])  # refuses m < 0 and shots < 1
     (m,), (shots,) = schedule.ms.tolist(), schedule.shots.tolist()
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    seed = _as_int(seed, "seed", 0, 2**64 - 1)
     p1 = prob_good(method, theta, m, noise, size)
     return RoundOutcome(m=m, shots=shots, hits=int(draw_hits(shots, p1, np.uint64(seed))))
 

@@ -19,9 +19,9 @@ from aelab import (
     query_count,
     readout_factor,
 )
-from aelab import ExperimentConfig, build_eis_schedule
+from aelab import ExperimentConfig, build_eis_schedule, classical_fisher, classical_fisher_envelope, envelope_peak
 from aelab.model import RoundOutcome, decay, derive_seed, draw_hits, sample_round, seed_keys
-from aelab.refsim import UnitaryFactory, evolve, rotation_check, run_equivalence_suite, theorem_bound
+from aelab.refsim import UnitaryFactory, evolve, measure_probs, rotation_check, run_equivalence_suite, theorem_bound
 
 SIZES = [SystemSize(1), SystemSize(10), SystemSize(100), INFINITE]
 
@@ -112,7 +112,7 @@ class TestTypes:
 @pytest.mark.parametrize(
     "error, call, message",
     [
-        (TypeError, lambda: seed_keys(1, np.array([0.5])), "seed components must be integers"),
+        (ValueError, lambda: seed_keys(1, np.array([0.5])), "^array seed component must be an integer, got 0.5$"),
         (ValueError, lambda: sample_round(Method.G, 0.5, 1, 0, NoiseModel(0.9), INFINITE, 7),
          "shot count must be >= 1, got 0"),
         (ValueError, lambda: readout_factor(0, 0.01), "qubit count must be >= 1"),
@@ -192,6 +192,10 @@ COUNT_ENTRY_POINTS = {
     "suite-m": lambda k: _suite(m_values=(k,)).as_dicts(),
     "suite-seeds": lambda k: _suite(seeds=k).as_dicts(),
     "suite-master-seed": lambda k: _suite(master_seed=k).as_dicts(),
+    "derive-seed": lambda k: derive_seed(k, 0),
+    "seed-keys-array": lambda k: seed_keys(1, [0, k]).tolist(),
+    "sample-round-seed": lambda k: sample_round(Method.G, 0.3, 1, 10, NoiseModel(0.9), INFINITE, k),
+    "factory-w-seed": lambda k: UnitaryFactory(n=1, theta=0.3, w_seed=k).w_seed,
 }
 
 
@@ -212,6 +216,30 @@ class TestIntegerRule:
         assert got == want and type(got) is type(want)
         if isinstance(got, RoundOutcome):
             assert all(type(v) is int for v in dataclasses.astuple(got))
+
+
+# every public entry point that takes a method tag, as a call of the tag
+METHOD_ENTRY_POINTS = {
+    "query-count": lambda x: query_count(x, 3),
+    "prob-good": lambda x: prob_good(x, 0.3, 3, NoiseModel(0.99)),
+    "sample-round": lambda x: sample_round(x, 0.3, 1, 10, NoiseModel(0.9), INFINITE, 7),
+    "eis-schedule": lambda x: build_eis_schedule(1.2, 12, 100, x),
+    "record": lambda x: MeasurementRecord(x, Schedule([1], [10]), [5]),
+    "config-methods": lambda x: ExperimentConfig(methods=(Method.G, x)),
+    "classical-fisher": lambda x: classical_fisher(x, 0.3, 7.0, NoiseModel(0.99)),
+    "envelope": lambda x: classical_fisher_envelope(x, 7.0, NoiseModel(0.99), SystemSize(3)),
+    "envelope-peak": lambda x: envelope_peak(x, 0.9, SystemSize(3)),
+    "measure-probs": lambda x: measure_probs(np.eye(4) / 4, x),
+    "evolve-tuple": lambda x: evolve((Method.G, x), 1, UnitaryFactory(n=1, theta=0.3), 0.9),
+}
+
+
+@pytest.mark.parametrize("entry", METHOD_ENTRY_POINTS)
+@pytest.mark.parametrize("tag", ["g", "q", None])
+def test_refuses_a_tag_that_is_not_a_method(entry, tag):
+    # such a tag used to take one method's formulas, mostly Q's
+    with pytest.raises(ValueError, match=f"^method must be a Method, got {tag!r}$"):
+        METHOD_ENTRY_POINTS[entry](tag)
 
 
 class TestProbGood:
@@ -318,7 +346,7 @@ class TestSampleRound:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seed_outside_64_bits(self, seed):
         args = (Method.G, 0.55, 3, 100, NoiseModel(0.93), SystemSize(10))
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, {2**64 - 1}\], got {seed}$"):
             sample_round(*args, seed=seed)
 
     def test_seed_changes_outcome(self):
@@ -333,6 +361,13 @@ class TestDeriveSeed:
         assert a == derive_seed(42, 0, 1, 2, 3)
         others = {derive_seed(42, 0, 1, 2, j) for j in range(50)}
         assert len(others) == 50
+
+    def test_zero_dimensional_arrays_are_scalars(self):
+        # a 0-d array splits into words like the int it holds, past int64 too
+        for seed in (5, 2**63, 2**64 - 1):
+            assert derive_seed(np.array(seed, dtype=np.uint64), 3) == derive_seed(seed, 3)
+        args = (Method.G, 0.55, 3, 100, NoiseModel(0.93), SystemSize(10))
+        assert sample_round(*args, seed=np.array(2**64 - 1, dtype=np.uint64)) == sample_round(*args, seed=2**64 - 1)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -363,7 +398,7 @@ class TestDeriveSeed:
             expected = int(np.random.SeedSequence([master, *prefix, *path]).generate_state(1, np.uint64)[0])
             assert derive_seed(master, *prefix, *path) == expected
             assert key == expected
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        with pytest.raises(ValueError, match=rf"^array seed component must lie in \[0, {2**32 - 1}\], got {2**32}$"):
             seed_keys(master, *prefix, np.array([2**32]))
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher, query_count, refsim
 from aelab.refsim import (
     MAX_AMPLIFICATIONS,
+    MIN_COHERENT_WEIGHT,
     EquivalenceCase,
     EquivalenceReport,
     UnitaryFactory,
@@ -516,15 +517,28 @@ class TestEquivalenceSuite:
         )
         assert not report.all_passed
 
+    def test_strong_noise_grid_passes(self):
+        # the evolved state carries r**n_q only to a few 1e-18 absolute, so below MIN_COHERENT_WEIGHT the QFI checks
+        # are not made, and exactly there; the deep r = 0.5 cells would fail them on rounding alone
+        report = run_equivalence_suite(n_values=(1, 2), m_values=(5, 10, 20, 40), r_values=(0.9, 0.5), seeds=2)
+        assert report.n_cases == 64 and report.all_passed
+        unresolved = [c.r ** query_count(c.method, c.m) < MIN_COHERENT_WEIGHT for c in report.cases]
+        assert any(unresolved) and not all(unresolved)
+        for case, skip in zip(report.cases, unresolved):
+            qfi_checks = (case.qfi_rel_dev, case.bound_excess, case.bound_rel_gap)
+            assert all((dev is None) == skip for dev in qfi_checks)
+            assert case.cfi_rel_dev is None or not skip  # the classical check's own cut, 1e-3, lies above this one
+
     def test_underflowed_references_fail(self):
-        # at r = 1e-300 every queried cell's QFI and bound underflow to 0, so their relative deviations are NaN;
-        # the divisions raise no warning (an error under this suite's filter) and every NaN case fails
+        # at r = 1e-300 every queried cell's QFI and bound underflow to 0, far below MIN_COHERENT_WEIGHT: those
+        # references fail to resolve anything, so their checks are not made, the divisions raise no warning (an
+        # error under this suite's filter) and every case passes; the zero-query Q case keeps its absolute checks
         report = run_equivalence_suite(n_values=(1,), r_values=(1e-300,), seeds=1)
-        failed = [c for c in report.cases if not c.passed]
-        assert len(report.cases) == 12 and len(failed) == 11
-        assert all(math.isnan(c.qfi_rel_dev) and math.isnan(c.bound_excess) for c in failed)
-        assert not report.all_passed
-        assert math.isnan(report.worst("qfi_rel_dev"))
+        assert len(report.cases) == 12 and report.all_passed
+        [checked] = [c for c in report.cases if c.qfi_rel_dev is not None]
+        assert (checked.method, checked.m) == (Method.Q, 0) and checked.bound_excess is not None
+        assert all(c.bound_excess is None and c.bound_rel_gap is None for c in report.cases if c is not checked)
+        assert report.worst("qfi_rel_dev") == checked.qfi_rel_dev
 
 
 def _case(**devs) -> EquivalenceCase:
