@@ -150,7 +150,8 @@ class ExperimentConfig:
         counts = (("rounds", 1), ("shots", 1), ("repetitions", 1), ("master_seed", 0))
         # frozen: set the checked Python ints past __setattr__
         self.__dict__.update((name, _as_int(getattr(self, name), name, lo)) for name, lo in counts)
-        build_eis_schedule(self.base, 0, self.shots, Method.G)  # refuses a base the schedule rule cannot take
+        # refuses a base the schedule rule cannot take, and a schedule whose counts outgrow a float or an int64
+        build_eis_schedule(self.base, self.rounds, self.shots, Method.G)
         if not self.targets:
             raise ValueError("at least one target is required")
         if not all(0.0 < a < 1.0 for a in self.targets):
@@ -201,7 +202,12 @@ def build_eis_schedule(base: float, num_rounds: int, shots: int, method: Method)
     _check_method(method)
     if not 1.0 < base < math.inf:
         raise ValueError(f"schedule base must be finite and exceed 1, got {base}")
-    ms = [math.floor(base ** (k - 1)) for k in range(_as_int(num_rounds, "num_rounds"))]
+    ms = []
+    for k in range(_as_int(num_rounds, "num_rounds")):
+        try:
+            ms.append(math.floor(base ** (k - 1)))
+        except OverflowError:  # base**(k-1) past the largest float: no count for this round or any later one
+            raise ValueError(f"schedule base {base} overflows a float at round {k} (base**{k - 1})") from None
     if method is Method.Q:
         ms = [m for m in ms if m > 0]
     shots = _as_int(shots, "shot count", 1)
@@ -370,21 +376,24 @@ class _GridLikelihood:
         log-likelihood is flat to floating-point noise within ~1e-8 of the
         maximum, so the stationary point is located as the sign change of
         the analytic derivative, which stays well conditioned down to
-        machine precision; an infinite derivative counts by its sign.  A
-        bracket with no + to - sign change (maximum pinned at a domain edge)
-        returns the end its first derivative rises toward: ``hi`` where the
-        derivative there is >= 0, ``lo`` otherwise.  The roots come from
-        safeguarded Newton on all brackets at once: a step that would leave
-        its bracket, or is longer than both ``ROOT_TOL`` and half the step
-        before last, is replaced by bisection.  A bracket is done once its
-        step falls to ``ROOT_TOL``, or at its midpoint after
-        ``MAX_ROOT_STEPS``; the terms of the brackets done are dropped in the
-        iteration they finish, and only then.
+        machine precision; an infinite derivative counts by its sign, and an
+        end derivative within rounding of 0 counts as 0
+        (:func:`_settled_slope`).  A bracket with no + to - sign change
+        (maximum pinned at a domain edge, or an end where the likelihood is
+        flat in floating point) returns the end its first derivative rises
+        toward: ``hi`` where the derivative there is >= 0, ``lo``
+        otherwise.  The roots come from safeguarded Newton on all brackets
+        at once: a step that would leave its bracket, or is longer than both
+        ``ROOT_TOL`` and half the step before last, is replaced by
+        bisection.  A bracket is done once its step falls to ``ROOT_TOL``,
+        or at its midpoint after ``MAX_ROOT_STEPS``; the terms of the
+        brackets done are dropped in the iteration they finish, and only
+        then.
         """
         live = _LiveTerms(self.terms, hits, misses, rec, end)
         lo = np.maximum(centers - self._step, 1e-12)
         hi = np.minimum(centers + self._step, math.pi / 2 - 1e-12)
-        d_lo, d_hi = live.slopes(lo, curvature=False), live.slopes(hi, curvature=False)
+        d_lo, d_hi = (_settled_slope(*live.slopes(edge, curvature=False)) for edge in (lo, hi))
         out = np.where(d_hi >= 0.0, hi, lo)
         interior = (d_lo > 0.0) & (d_hi < 0.0)
         idx = np.flatnonzero(interior)
@@ -463,6 +472,16 @@ class _GridLikelihood:
         return np.minimum(est, math.pi / 2 - est) if self.method is Method.Q else est
 
 
+def _settled_slope(d: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """``d``, a sum of terms whose magnitudes sum to ``magnitude``, with 0
+    where it lies within that sum's rounding, ``8 eps magnitude``: there its
+    sign comes from the order of summation alone.  That happens next to an
+    end of (0, pi/2), about which both methods' ``p1`` are even, so the
+    log-likelihood is flat in floating point there.  The test is strict, so
+    an infinite ``d`` keeps its sign."""
+    return np.where(np.abs(d) < 8.0 * np.finfo(float).eps * magnitude, 0.0, d)
+
+
 class _LiveTerms:
     """The live terms of a batch of refinement brackets, flat.
 
@@ -499,7 +518,9 @@ class _LiveTerms:
 
     def slopes(self, theta: np.ndarray, curvature: bool = True):
         """First theta-derivative of each bracket's log-likelihood at its
-        ``theta``, and with ``curvature`` the second as well.  Zero counts
+        ``theta``, and with ``curvature`` the second as well; without it, the
+        sum of the first derivative's term magnitudes instead, the scale of
+        its rounding (see :func:`_settled_slope`).  Zero counts
         contribute exactly zero.  Every product is the one the dense form
         ``(w1 - w0)*R*n_q*sin(2x)`` and ``(w1 - w0)*2R*n_q^2*cos(2x) -
         (w1/p1 + w0/(1-p1))*(R*n_q*sin(2x))^2`` takes, operands swapped at
@@ -525,7 +546,7 @@ class _LiveTerms:
         dp1 *= rn
         d1 = np.add.reduceat(np.multiply(dw, dp1, out=p1), self.starts)
         if not curvature:
-            return d1
+            return d1, np.add.reduceat(np.abs(p1, out=p1), self.starts)
         d2 = np.cos(x, out=x)
         d2 *= r2n2
         d2 *= dw

@@ -54,8 +54,8 @@ __all__ = [
 
 def _check_n_q(n_q) -> None:
     n = np.asarray(n_q)
-    if np.count_nonzero(n > 0) != n.size:
-        raise ValueError(f"query count must be positive, got {n_q}")
+    if np.count_nonzero((n > 0) & np.isfinite(n)) != n.size:
+        raise ValueError(f"query count must be positive and finite, got {n_q}")
 
 
 def _ratio(num, den):

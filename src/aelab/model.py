@@ -136,7 +136,8 @@ class NoiseModel:
     r: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.r <= 1.0:
+        # one real number: a bool is not a probability, and an array would be compared entry by entry
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real) or not 0.0 < self.r <= 1.0:
             raise ValueError(f"survival probability r must lie in (0, 1], got {self.r}")
 
 

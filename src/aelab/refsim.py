@@ -24,11 +24,12 @@ contract: :func:`measure_probs` and :func:`propagated_classical_fisher`
 take ``(..., d, d)`` stacks, :func:`theorem_bound` an array of query
 counts and :func:`rotation_check` a sequence of counts, and each gives an
 array back, or a Python float for one matrix or count.  The equivalence
-suite therefore runs one evolution per factory, takes the spectral QFI of
-each (r, method) stack of snapshots in one stacked eigendecomposition and
-reads every other column off the stacks in one call each; every value
-equals, bit for bit, the per-(method, count, r) route.  The spectral QFI
-takes stacks only; one count's value is that of a stack of one,
+suite therefore forms its grid-only references once per call or size,
+runs one evolution per factory, takes the spectral QFI of each (method,
+r) stack of snapshots in one stacked eigendecomposition and reads every
+column as one (method, r, m) array; every value equals, bit for bit, the
+per-(method, count, r) route.  The spectral QFI takes stacks only; one
+count's value is that of a stack of one,
 ``evolve_with_derivative(method, [m], factory, r)``.
 
 Conventions (fixed, everything below depends on them):
@@ -475,31 +476,31 @@ def run_equivalence_suite(
     outcome probability, spectral quantum Fisher information, rotation
     picture (noiseless cells only) and classical Fisher information are
     checked against their closed-form counterparts, and the quantum Fisher
-    information against the general circuit bound.  There is one evolution
-    per factory: a single call of :func:`evolve_with_derivative` over both
+    information against the general circuit bound.  Every column is one
+    (method, r, m) array, and only what depends on a factory is formed per
+    factory: the query counts, coherent weights ``r**n_q`` and their masks
+    once per call, the QFI references and circuit bounds once per size.
+    Each factory has one call of :func:`evolve_with_derivative` over both
     methods, every ``r`` and every count, read through the module attribute
-    so that a stand-in sees it.  Both Fisher informations come from the
-    propagated derivative ``drho`` of that evolution, and the spectral QFI
-    of each (r, method) stack of snapshots is taken in one stacked
-    ``eigh``.  Every column of an (r, method) stack's cases is then one call
-    or expression over all of ``m_values``: the read-outs take the snapshot
-    stacks whole, and the closed-form references are evaluated over the
-    same counts.  The whole grid is checked before any work: it must be
-    non-empty (at least one size, count and survival probability, and
-    ``seeds >= 1``), every count must be an integer in
-    ``[0, MAX_AMPLIFICATIONS]``, every register size an integer in
-    ``[1, MAX_WORK_QUBITS]``, ``seeds`` and ``master_seed`` integers and
-    every survival probability in ``(0, 1]``; a bool or a float is not an
-    integer.  A case whose coherent weight ``r**n_q`` lies below
-    ``MIN_COHERENT_WEIGHT`` (1e-6) makes no QFI check (``qfi_rel_dev``,
-    ``bound_excess``, ``bound_rel_gap`` are None): the evolved state
-    carries that weight only to a few 1e-18, so the QFI's relative
-    rounding there would fail a correct simulator.  The evolution holds
-    ``2 * len(r_values) * len(m_values)`` pairs of ``(d, d)`` complex
-    matrices per factory, ``d = 2**(n+1)``:
-    about 300 MB at 8 work qubits on the default counts and survival
-    probabilities, and about 3 GiB with counts 0-64.  A deviation that is
-    NaN fails its check.
+    so that a stand-in sees it, and at most one :func:`rotation_check`.
+    Both Fisher informations come from the propagated derivative ``drho``
+    and are read one (method, r) stack at a time, the spectral QFI in one
+    stacked ``eigh`` (the whole stack at once doubles the peak memory).
+    Cases run over ``m_values``, then ``r_values``, then G before Q.  The
+    whole grid is checked before any work: it must be non-empty (at least
+    one size, count and survival probability, and ``seeds >= 1``), every
+    count must be an integer in ``[0, MAX_AMPLIFICATIONS]``, every register
+    size an integer in ``[1, MAX_WORK_QUBITS]``, ``seeds`` and
+    ``master_seed`` integers and every survival probability in ``(0, 1]``;
+    a bool or a float is not an integer.  A case whose coherent weight
+    ``r**n_q`` lies below ``MIN_COHERENT_WEIGHT`` (1e-6) makes no QFI check
+    (``qfi_rel_dev``, ``bound_excess``, ``bound_rel_gap`` are None): the
+    evolved state carries that weight only to a few 1e-18, so the QFI's
+    relative rounding there would fail a correct simulator.  The evolution
+    holds ``2 * len(r_values) * len(m_values)`` pairs of ``(d, d)`` complex
+    matrices per factory, ``d = 2**(n+1)``: the suite peaks at 408 MB at 8
+    work qubits on the default counts and survival probabilities, and at
+    about 3 GiB with counts 0-64.  A deviation that is NaN fails its check.
 
     ``perturb_r`` shrinks the survival probability used *inside the
     simulator only* by the given relative amount; any nonzero value must
@@ -518,60 +519,57 @@ def run_equivalence_suite(
     noises = [NoiseModel(r) for r in r_values]
     methods = (Method.G, Method.Q)
     simulated_rs = np.array([r * (1.0 - perturb_r) for r in r_values])
+    # Every column is a (method, r, m) array, on the axes of evolve_with_derivative's stacks.  What depends on the
+    # grid alone is formed here; zero-query rounds have no reference information or bound, so their references are
+    # computed at one query and go unused.
+    n_qs = np.stack([query_count(x, m_grid) for x in methods])
+    queried, live = n_qs[:, None] > 0, np.maximum(n_qs, 1)
+    weights = np.stack([r**n_qs for r in r_values], axis=1)  # the coherent weight r**n_q
+    # the QFI checks are not made where r**n_q < MIN_COHERENT_WEIGHT, as the QFI's rounding swamps them there
+    unresolved = weights < MIN_COHERENT_WEIGHT
+    rotated = np.array([[x is Method.Q and r == 1.0 for r in r_values] for x in methods])  # noiseless Q only
+    labels = [(m, r, x) for m in m_grid.tolist() for r in r_values for x in methods]  # the output order
     # derive_seed(master_seed, n, si) of every cell, in one call
     keys = seed_keys(master_seed, n_grid[:, None], np.arange(seeds)).tolist()
     cases = []
     for n, n_keys in zip(n_grid.tolist(), keys):
         size = SystemSize(n + 1)  # work register + flag qubit
-        d = 2 ** (n + 1)
-        for si in range(seeds):
-            rng = np.random.Generator(np.random.Philox(key=n_keys[si]))
+        qfi_refs = np.stack([quantum_fisher(live, noise, size) for noise in noises], axis=1)
+        bounds = np.stack([theorem_bound(live, 2 ** (n + 1), r) for r in r_values], axis=1)
+        for n_key in n_keys:
+            rng = np.random.Generator(np.random.Philox(key=n_key))
             theta = float(rng.uniform(0.02, math.pi / 2 - 0.02))
             w_seed = int(rng.integers(0, 2**63 - 1))
             factory = UnitaryFactory(n=n, theta=theta, w_seed=w_seed)
             # one pass serves the factory's every (method, r, m) snapshot
-            rho_stacks, drho_stacks = evolve_with_derivative(methods, m_grid, factory, simulated_rs)
-            cells = []  # the cases of each (r, method), one per entry of m_values
-            for ri, (r, noise) in enumerate(zip(r_values, noises)):
-                for mi, method in enumerate(methods):
-                    rhos, drhos = rho_stacks[mi, ri], drho_stacks[mi, ri]
-                    n_qs = query_count(method, m_grid)
-                    # zero-query rounds have no reference information or bound;
-                    # their entries are computed at one query and go unused
-                    queried = n_qs > 0
-                    live = np.maximum(n_qs, 1)
-                    qfis = _spectral_qfi(rhos, drhos, cutoff=1e-12)
-                    qfi_refs = quantum_fisher(live, noise, size)
-                    bounds = theorem_bound(live, d, r)
-                    prob_dev = np.abs(measure_probs(rhos, method)[1] - prob_good(method, theta, m_grid, noise, size))
-                    # the QFI checks are not made where r**n_q < MIN_COHERENT_WEIGHT, as the QFI's rounding swamps
-                    # them there; a reference there may underflow to 0, so the divisions run silently
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        qfi_rel = np.where(queried, np.abs(qfis - qfi_refs) / qfi_refs, np.abs(qfis))
-                        excess = np.where(queried, np.maximum(0.0, (qfis - bounds) / bounds), np.maximum(0.0, qfis))
-                        bound_gap = np.where(queried, np.abs(qfis - bounds) / bounds, None)
-                    unresolved = r**n_qs < MIN_COHERENT_WEIGHT
-                    qfi_rel, excess, bound_gap = (np.where(unresolved, None, c) for c in (qfi_rel, excess, bound_gap))
-                    unset = np.full(len(n_qs), None)
-                    rot = rotation_check(factory, m_grid) if r == 1.0 and method is Method.Q else unset
-                    # the relative deviation is ill-conditioned where the
-                    # probability derivative nearly vanishes
-                    cfi_ok = np.array(
-                        [n_q > 0 and r**n_q * abs(math.sin(2.0 * n_q * theta)) > 1e-3 for n_q in n_qs.tolist()],
-                        dtype=bool,
-                    )
-                    cfi = unset.copy()
-                    if cfi_ok.any():
-                        cfi_refs = classical_fisher(method, theta, live, noise, size)[cfi_ok]
-                        cfi_nums = propagated_classical_fisher(rhos[cfi_ok], drhos[cfi_ok], method)
-                        cfi[cfi_ok] = np.abs(cfi_nums - cfi_refs) / cfi_refs
-                    columns = (prob_dev, qfi_rel, excess, bound_gap, rot, cfi)
-                    cells.append(
-                        [
-                            EquivalenceCase(method, n, m, r, theta, w_seed, *row)
-                            for m, *row in zip(m_grid.tolist(), *(c.tolist() for c in columns))
-                        ]
-                    )
-            # cases run m-major, then r, then method
-            cases.extend(case for row in zip(*cells) for case in row)
+            rhos, drhos = evolve_with_derivative(methods, m_grid, factory, simulated_rs)
+            # the relative CFI deviation is ill-conditioned where the probability derivative nearly vanishes
+            cfi_ok = queried & (weights * np.abs(np.sin(2.0 * n_qs[:, None] * theta)) > 1e-3)
+            qfis, cfi = np.empty(cfi_ok.shape), np.full(cfi_ok.shape, None)
+            # both Fisher informations read one (method, r) stack at a time: the factory's whole stack at once
+            # doubles the peak memory
+            for k, i in np.ndindex(cfi_ok.shape[:2]):
+                rho, drho, ok, x = rhos[k, i], drhos[k, i], cfi_ok[k, i], methods[k]
+                qfis[k, i] = _spectral_qfi(rho, drho, cutoff=1e-12)
+                if ok.any():
+                    cfi_refs = classical_fisher(x, theta, live[k], noises[i], size)[ok]
+                    cfi_nums = propagated_classical_fisher(rho[ok], drho[ok], x)
+                    cfi[k, i][ok] = np.abs(cfi_nums - cfi_refs) / cfi_refs
+            p1s = np.stack([measure_probs(rho, x)[1] for rho, x in zip(rhos, methods)])
+            prob_dev = np.abs(p1s - [[prob_good(x, theta, m_grid, noise, size) for noise in noises] for x in methods])
+            # a reference where r**n_q < MIN_COHERENT_WEIGHT may underflow to 0, so the divisions run silently
+            with np.errstate(divide="ignore", invalid="ignore"):
+                qfi_rel = np.where(queried, np.abs(qfis - qfi_refs) / qfi_refs, np.abs(qfis))
+                excess = np.where(queried, np.maximum(0.0, (qfis - bounds) / bounds), np.maximum(0.0, qfis))
+                bound_gap = np.where(queried, np.abs(qfis - bounds) / bounds, None)
+            qfi_rel, excess, bound_gap = (np.where(unresolved, None, c) for c in (qfi_rel, excess, bound_gap))
+            rot = np.full(cfi_ok.shape, None)
+            if rotated.any():
+                rot[rotated] = rotation_check(factory, m_grid)
+            # (m, r, method) rows of the six deviation columns
+            rows = np.stack((prob_dev, qfi_rel, excess, bound_gap, rot, cfi), axis=-1).swapaxes(0, 2)
+            cases.extend(
+                EquivalenceCase(x, n, m, r, theta, w_seed, *row)
+                for (m, r, x), row in zip(labels, rows.reshape(len(labels), -1).tolist())
+            )
     return EquivalenceReport(cases=tuple(cases))

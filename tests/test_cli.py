@@ -188,6 +188,17 @@ class TestSimulate:
         assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [("--rounds", "5000"), ("--base", "1e300", "--rounds", "4"), ("--rounds", "3893")],
+        ids=["rounds-past-float", "base-past-float", "rounds-past-int64"],
+    )
+    def test_overflowing_schedule_is_usage_error(self, tmp_path, capsys, flags):
+        # refused with the config, before any cell runs, not as a traceback from the schedule builder
+        out = tmp_path / "rmse.csv"
+        assert run_cli("simulate", *flags, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unresolvable_schedule_is_refused(self, tmp_path, capsys):
         out = tmp_path / "rmse.csv"
         assert run_cli("simulate", "--r", "1", "--n-qubits", "inf", "--rounds", "72",

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aelab import (
@@ -22,7 +22,7 @@ from aelab import (
     sample_record,
 )
 from aelab import estimator
-from aelab.estimator import _METHOD_CODE, ROOT_TOL, _GridLikelihood, sample_hits
+from aelab.estimator import _METHOD_CODE, ROOT_TOL, _GridLikelihood, _settled_slope, sample_hits
 from aelab.model import derive_seed, p1_from_sin2, prob_good, sample_round
 
 sizes = st.one_of(st.integers(min_value=1, max_value=20).map(SystemSize), st.just(INFINITE))
@@ -89,8 +89,9 @@ def full_scan_fit(grid: _GridLikelihood, hits, ends) -> np.ndarray:
 
 def dense_slopes(theta, terms, hits, misses):
     """First two theta-derivatives of the log-likelihood of the rounds along
-    the last axis, every round evaluated; zero counts contribute exactly zero,
-    so rounds beyond a prefix are masked out by zeroing their counts."""
+    the last axis, every round evaluated, and the sum of the first one's term
+    magnitudes; zero counts contribute exactly zero, so rounds beyond a prefix
+    are masked out by zeroing their counts."""
     n_q, r_pow, floor = terms
     x = n_q * np.asarray(theta)[..., None]
     p1 = p1_from_sin2(np.square(np.sin(x)), r_pow, floor)
@@ -101,23 +102,26 @@ def dense_slopes(theta, terms, hits, misses):
         curvature = np.where(has1, w1 / p1, 0.0) + np.where(has0, w0 / (1.0 - p1), 0.0)
     dp1 = r_pow * n_q * np.sin(2.0 * x)
     d2p1 = 2.0 * r_pow * n_q**2 * np.cos(2.0 * x)
-    return np.sum((w1 - w0) * dp1, axis=-1), np.sum((w1 - w0) * d2p1 - curvature * dp1**2, axis=-1)
+    first = (w1 - w0) * dp1
+    return first.sum(-1), np.sum((w1 - w0) * d2p1 - curvature * dp1**2, axis=-1), np.abs(first).sum(-1)
 
 
 def dense_refine(grid: _GridLikelihood, centers, hits, misses) -> np.ndarray:
     """The refinement with every bracket evaluated over all rounds: ``hits``/
     ``misses`` hold one row per bracket, zeroed after its end.  The same
-    bracket ends, sign tests, safeguarded Newton steps and stopping rules as
-    the engine's, on :func:`dense_slopes`."""
+    bracket ends, sign tests (an end derivative within rounding of 0 counts
+    as 0), safeguarded Newton steps and stopping rules as the engine's, on
+    :func:`dense_slopes`."""
     lo = np.maximum(centers - grid._step, 1e-12)
     hi = np.minimum(centers + grid._step, math.pi / 2 - 1e-12)
-    d_lo, d_hi = dense_slopes(np.stack([lo, hi]), grid.terms, hits, misses)[0]
+    d, _, magnitude = dense_slopes(np.stack([lo, hi]), grid.terms, hits, misses)
+    d_lo, d_hi = _settled_slope(d, magnitude)
     out = np.where(d_hi >= 0.0, hi, lo)
     idx = np.flatnonzero((d_lo > 0.0) & (d_hi < 0.0))
     x, lo, hi, hits, misses = centers[idx], lo[idx], hi[idx], hits[idx], misses[idx]
     step = prev = hi - lo
     for _ in range(estimator.MAX_ROOT_STEPS):
-        f, fp = dense_slopes(x, grid.terms, hits, misses)
+        f, fp, _ = dense_slopes(x, grid.terms, hits, misses)
         lo = np.where(f > 0.0, x, lo)
         hi = np.where(f < 0.0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -426,6 +430,11 @@ class TestRefinement:
         theta=st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
         seed=st.integers(min_value=0, max_value=2**32),
     )
+    # Q's p1 is even in theta, so next to theta = 0 the log-likelihood is flat in floating point: its derivative at
+    # the lower end is rounding alone, and without the rule that counts it as 0 its sign follows the order of the sum
+    @example(Method.Q, 0.5, SystemSize(2), 4, "sampled", 1.5, 56247)
+    @example(Method.Q, 0.5, SystemSize(100), 3, "sampled", 1.46875, 0)
+    @example(Method.Q, 0.5, SystemSize(100), 4, "sampled", 1.40625, 15)
     def test_live_terms_match_the_dense_refinement(self, method, r, size, rounds, kind, theta, seed):
         # every prefix of one record, refined over its live rounds and over all rounds with the rest zeroed:
         # only the order of the per-bracket sums differs, and an edge-pinned bracket returns the same edge
@@ -522,12 +531,17 @@ class TestPrunedScan:
         (lambda: ExperimentConfig(repetitions=-2), "^repetitions must be >= 1, got -2$"),
         (lambda: ExperimentConfig(targets=(1.0,)), r"strictly inside \(0, 1\)"),
         (lambda: ExperimentConfig(methods=()), "at least one method is required"),
+        # the whole schedule is built with the config: a count past a float or an int64 is refused there
+        (lambda: ExperimentConfig(rounds=5000), r"^schedule base 1.2 overflows a float at round 3895 \(base\*\*3894"),
+        (lambda: ExperimentConfig(base=1e300, rounds=4), r"^schedule base 1e\+300 overflows a float at round 3 "),
+        (lambda: ExperimentConfig(rounds=3893), r"^amplification count must lie in \[0, 9223372036854775807\], got "),
         (lambda: mle_estimate(MeasurementRecord(Method.G, ()), NoiseModel(0.99)), "no rounds to fit"),
         # theta is checked as given, before the likelihood adds its round axis
         (lambda: log_likelihood(one_round(Method.G, 1, 100, 40), [0.3, 2.0], NoiseModel(0.9)),
          r"^theta must lie strictly inside \(0, pi/2\), got \[0.3, 2.0\]$"),
     ],
-    ids=["no-rounds", "no-shots", "negative-reps", "target-one", "no-methods", "empty-record", "loglik-theta"],
+    ids=["no-rounds", "no-shots", "negative-reps", "target-one", "no-methods", "schedule-past-float",
+         "base-past-float", "schedule-past-int64", "empty-record", "loglik-theta"],
 )
 def test_refuses(call, message):
     with pytest.raises(ValueError, match=message):

@@ -58,6 +58,21 @@ class TestClassicalFisher:
         with pytest.raises(ValueError):
             classical_fisher(Method.G, 0.3, 0, NoiseModel(0.9))
 
+    @pytest.mark.parametrize("n_q", [math.inf, math.nan, [3.0, math.inf]], ids=["inf", "nan", "array-with-inf"])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda n_q: classical_fisher(Method.G, 0.3, n_q, NoiseModel(0.99)),
+            lambda n_q: classical_fisher_envelope(Method.Q, n_q, NoiseModel(1.0), SystemSize(3)),
+            lambda n_q: quantum_fisher(n_q, NoiseModel(0.9), SystemSize(3)),
+        ],
+        ids=["classical", "envelope", "quantum"],
+    )
+    def test_rejects_a_query_count_that_is_not_finite(self, form, n_q):
+        # an infinite query count gave nan (with warnings) or 0.0 instead of a refusal
+        with pytest.raises(ValueError, match="^query count must be positive and finite, got"):
+            form(n_q)
+
     def test_bounded_by_quantum_near_degenerate_angles_at_r_one(self):
         # within 2e-8 of 0 and pi/2, sin or cos of n_q*theta nearly vanishes; the
         # denominators must not cancel there and lift the value above 4*n_q**2

@@ -36,6 +36,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             NoiseModel(r)
 
+    @pytest.mark.parametrize(
+        "r, shown",
+        [(True, "True"), (np.array([0.5]), r"\[0.5\]"), (np.array([0.5, 0.6]), r"\[0.5 0.6\]"), ("0.5", "0.5")],
+        ids=["bool", "one-entry-array", "array", "string"],
+    )
+    def test_noise_rejects_what_is_not_one_real_number(self, r, shown):
+        # a bool would read as 1, and an array would be compared entry by entry: the class's own message for each
+        with pytest.raises(ValueError, match=rf"^survival probability r must lie in \(0, 1\], got {shown}$"):
+            NoiseModel(r)
+
     def test_system_size_inv_d(self):
         assert SystemSize(1).inv_d == 0.5
         assert SystemSize(2).inv_d == 0.25

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from aelab import Method, NoiseModel, SystemSize, classical_fisher, prob_good, quantum_fisher, query_count, refsim
+from aelab import Method, NoiseModel, SystemSize, classical_fisher, fisher, prob_good, quantum_fisher, query_count
+from aelab import refsim
 from aelab.refsim import (
     MAX_AMPLIFICATIONS,
     MIN_COHERENT_WEIGHT,
@@ -483,6 +484,36 @@ class TestEquivalenceSuite:
         assert len(stacked.cases) == len(per_case.cases) == 3 * 4 * 5 * 2 * 2
         for got, want in zip(stacked.cases, per_case.cases):
             assert repr(got) == repr(want)
+
+    def test_work_is_done_once_per_size_or_factory(self, monkeypatch):
+        # the QFI references and circuit bounds depend on the size, r and method alone, so more seeds add no calls;
+        # one rotation check serves a factory's every noiseless Q stack, and each spectral QFI call takes one
+        # (method, r) stack of len(m_values) snapshots
+        calls = {}
+
+        def count(module, name):
+            inner, calls[name] = getattr(module, name), []
+
+            def counted(*args, **kwargs):
+                calls[name].append(args)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in [(fisher, "quantum_fisher"), (refsim, "theorem_bound"), (refsim, "rotation_check"),
+                             (refsim, "_spectral_qfi")]:
+            count(module, name)
+        grid = dict(n_values=(1, 2), m_values=(3, 0, 1), r_values=(1.0, 0.9, 1.0))
+        for seeds in (1, 3):
+            for log in calls.values():
+                log.clear()
+            report = run_equivalence_suite(seeds=seeds, **grid)
+            assert report.all_passed
+            assert len(calls["quantum_fisher"]) == len(calls["theorem_bound"]) == 2 * 3
+            factories = [args[0] for args in calls["rotation_check"]]
+            assert len(factories) == len(set(factories)) == 2 * seeds
+            assert [len(args[0]) for args in calls["_spectral_qfi"]] == [3] * (2 * seeds * 2 * 3)
+            assert all((c.rotation_dev is not None) == (c.method is Method.Q and c.r == 1.0) for c in report.cases)
 
     @pytest.mark.parametrize("bad", [-1, MAX_AMPLIFICATIONS + 1, 1.5])
     def test_rejects_bad_counts_up_front(self, bad):
